@@ -1,10 +1,12 @@
 // Microbenchmarks (ablation): per-tuple cost of the mobility tracker,
 // validating the complexity claims of paper Section 3.1 — O(1) per incoming
 // tuple for instantaneous events and gaps, O(m) for long-lasting events —
-// by sweeping the history size m.
+// by sweeping the history size m. BM_ProcessCruise and BM_ProcessAnchored
+// also report heap allocations per tuple (alloc_counter.h), which CI gates.
 
 #include <benchmark/benchmark.h>
 
+#include "alloc_counter.h"
 #include "common/thread_pool.h"
 #include "sim/scenarios.h"
 #include "tracker/mobility_tracker.h"
@@ -25,34 +27,44 @@ std::vector<stream::PositionTuple> AnchoredTuples(int n) {
       .Build();
 }
 
-void BM_ProcessCruise(benchmark::State& state) {
-  const auto tuples = CruiseTuples(4096);
+/// Runs one vessel's trace through a fresh tracker per iteration. The output
+/// vector is reserved up front, so `allocs_per_tuple` counts the tracker's
+/// own allocations: the vessel's first-seen setup (index slot, history rings)
+/// amortized over the trace, plus any per-tuple churn.
+void RunSingleVessel(benchmark::State& state,
+                     const std::vector<stream::PositionTuple>& tuples) {
   TrackerParams params;
   params.history_size = static_cast<int>(state.range(0));
+  uint64_t allocs = 0;
+  std::vector<CriticalPoint> out;
+  out.reserve(tuples.size() * 2);
   for (auto _ : state) {
+    out.clear();
+    const uint64_t before =
+        bench::g_heap_allocs.load(std::memory_order_relaxed);
     MobilityTracker tracker(params);
-    std::vector<CriticalPoint> out;
     for (const auto& t : tuples) tracker.Process(t, &out);
     benchmark::DoNotOptimize(out);
+    allocs += bench::g_heap_allocs.load(std::memory_order_relaxed) - before;
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(tuples.size()));
+  const int64_t processed =
+      state.iterations() * static_cast<int64_t>(tuples.size());
+  state.SetItemsProcessed(processed);
+  state.counters["allocs_per_tuple"] =
+      bench::kAllocCountingActive && processed > 0
+          ? static_cast<double>(allocs) / static_cast<double>(processed)
+          : 0.0;
+}
+
+void BM_ProcessCruise(benchmark::State& state) {
+  RunSingleVessel(state, CruiseTuples(4096));
 }
 BENCHMARK(BM_ProcessCruise)->Arg(2)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_ProcessAnchored(benchmark::State& state) {
-  // Anchored vessels exercise the stop-detection (O(m)) path on every tuple.
-  const auto tuples = AnchoredTuples(4096);
-  TrackerParams params;
-  params.history_size = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    MobilityTracker tracker(params);
-    std::vector<CriticalPoint> out;
-    for (const auto& t : tuples) tracker.Process(t, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(tuples.size()));
+  // Anchored vessels exercise the stop-detection path on every tuple; the
+  // stop centroid is O(1) per sample however long the stop lasts.
+  RunSingleVessel(state, AnchoredTuples(4096));
 }
 BENCHMARK(BM_ProcessAnchored)->Arg(2)->Arg(10)->Arg(50)->Arg(200);
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ais/messages.h"
+#include "ais/nmea.h"
 #include "ais/sixbit.h"
 #include "maritime/live_index.h"
 #include "maritime/me_stream.h"
@@ -82,6 +83,43 @@ int main(int argc, char** argv) {
       WriteSeed(scanner_dir, scanner_seeds++, feed->substr(at, kChunk));
     }
   }
+
+  // Tag-block seeds: the clean feed's sentences behind NMEA 4.0 tag blocks
+  // (`\c:<unix>,s:<source>*hh\!AIVDM...`) — timed, untimed, and one with a
+  // wrong tag checksum per chunk — plus the satellite-feed lines of
+  // SNIPPETS.md with their tag checksums recomputed.
+  std::string tagged;
+  size_t line_no = 0;
+  for (size_t at = 0; at < clean_feed.size() && tagged.size() < 2 * kChunk;
+       ++line_no) {
+    size_t end = clean_feed.find('\n', at);
+    if (end == std::string::npos) end = clean_feed.size();
+    const std::string line = clean_feed.substr(at, end - at);
+    at = end + 1;
+    const size_t tab = line.find('\t');
+    if (tab == std::string::npos) continue;
+    std::string content = "s:Stat_" + std::to_string(line_no % 3);
+    if (line_no % 4 != 0) {
+      content = "c:" + line.substr(0, tab) + "," + content;
+    }
+    std::string checksum = maritime::ais::NmeaChecksum(content);
+    if (line_no % 17 == 0) checksum = checksum == "00" ? "01" : "00";
+    tagged += line.substr(0, tab + 1) + "\\" + content + "*" + checksum +
+              "\\" + line.substr(tab + 1) + "\n";
+  }
+  WriteSeed(scanner_dir, scanner_seeds++, tagged.substr(0, kChunk));
+  WriteSeed(scanner_dir, scanner_seeds++, tagged.substr(kChunk));
+  std::string satellite;
+  for (const char* line : {
+           "!AIVDM,1,1,,B,15B<J<0P1qF`kTKs86p=PgwR1PR=,0*77",
+           "!AIVDM,1,1,,A,C1MjQv03wk?8mP=18D3Q3whHPBL?0`2C0HNL?1ccKV30?081110W,0*4C",
+           "!AIVDM,1,1,,D,KmB<J<0@3tCkC0Bl,0*4F"}) {
+    const std::string content =
+        "c:1556260129,s:Sat_A,i:<S>S</S><O>XNS</O><T>A:1556264827 F:+3044000</T>";
+    satellite += "0\t\\" + content + "*" +
+                 maritime::ais::NmeaChecksum(content) + "\\" + line + "\n";
+  }
+  WriteSeed(scanner_dir, scanner_seeds++, satellite);
 
   // Sixbit seeds: armored payloads of real encoded messages, prefixed with
   // the fill-bits byte the fuzz target expects.

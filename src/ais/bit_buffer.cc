@@ -1,7 +1,5 @@
 #include "ais/bit_buffer.h"
 
-#include "common/check.h"
-
 namespace maritime::ais {
 namespace {
 
@@ -20,16 +18,27 @@ int SixbitFromChar(char c) {
 
 }  // namespace
 
-void BitWriter::WriteUnsigned(uint64_t value, int width) {
+void BitBuffer::Append(uint64_t value, int width) {
   MARITIME_DCHECK_MSG(width > 0 && width <= 64, "field width out of range");
-  for (int i = width - 1; i >= 0; --i) {
-    bits_.push_back(static_cast<uint8_t>((value >> i) & 1u));
+  if (width < 64) value &= (uint64_t{1} << width) - 1;
+  const unsigned off = static_cast<unsigned>(size_ & 63);
+  if (off == 0) words_.push_back(0);
+  const unsigned room = 64 - off;
+  if (static_cast<unsigned>(width) <= room) {
+    words_.back() |= value << (room - static_cast<unsigned>(width));
+  } else {
+    const unsigned spill = static_cast<unsigned>(width) - room;
+    words_.back() |= value >> spill;
+    words_.push_back(value << (64 - spill));
   }
-  bit_size_ += static_cast<size_t>(width);
+  size_ += static_cast<size_t>(width);
 }
 
-void BitWriter::WriteSigned(int64_t value, int width) {
-  WriteUnsigned(static_cast<uint64_t>(value), width);
+void BitBuffer::resize(size_t n) {
+  words_.resize((n + 63) / 64, 0);
+  size_ = n;
+  // Re-establish the zero tail after a truncation inside a word.
+  if ((n & 63) != 0) words_.back() &= ~uint64_t{0} << (64 - (n & 63));
 }
 
 void BitWriter::WriteSixbitString(const std::string& s, int chars) {
@@ -40,54 +49,15 @@ void BitWriter::WriteSixbitString(const std::string& s, int chars) {
   }
 }
 
-uint64_t BitReader::ReadUnsigned(int width) {
-  MARITIME_DCHECK_MSG(width > 0 && width <= 64, "field width out of range");
-  uint64_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    uint8_t bit = 0;
-    if (pos_ < bits_.size()) {
-      bit = bits_[pos_];
-    } else {
-      overflow_ = true;
-    }
-    v = (v << 1) | bit;
-    ++pos_;
-  }
-  // Reads stay in range unless the overflow flag says otherwise — the
-  // contract the scanner relies on to flag truncated payloads.
-  MARITIME_DCHECK(overflow_ || pos_ <= bits_.size());
-  return v;
-}
-
-int64_t BitReader::ReadSigned(int width) {
-  uint64_t v = ReadUnsigned(width);
-  // Sign-extend from `width` bits.
-  if (width < 64 && (v & (1ULL << (width - 1)))) {
-    v |= ~((1ULL << width) - 1);
-  }
-  return static_cast<int64_t>(v);
-}
-
-std::string BitReader::ReadSixbitString(int chars) {
-  constexpr char kAlphabet[] =
-      "@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_ !\"#$%&'()*+,-./0123456789:;<=>?";
-  std::string out;
-  out.reserve(static_cast<size_t>(chars));
+void BitReader::ReadSixbitString(int chars, std::string* out) {
+  out->clear();
   for (int i = 0; i < chars; ++i) {
-    const uint64_t v = ReadUnsigned(6);
-    out.push_back(kAlphabet[v & 63u]);
+    out->push_back(kSixbitAlphabet[ReadUnsigned(6) & 63u]);
   }
   // Strip trailing padding ('@' and spaces).
-  while (!out.empty() && (out.back() == '@' || out.back() == ' ')) {
-    out.pop_back();
+  while (!out->empty() && (out->back() == '@' || out->back() == ' ')) {
+    out->pop_back();
   }
-  return out;
-}
-
-void BitReader::Skip(int width) {
-  MARITIME_DCHECK_MSG(width >= 0, "cannot skip backwards");
-  pos_ += static_cast<size_t>(width);
-  if (pos_ > bits_.size()) overflow_ = true;
 }
 
 }  // namespace maritime::ais

@@ -105,7 +105,7 @@ bool PositionReport::HasPosition() const {
          lat_deg <= 90.0;
 }
 
-std::vector<uint8_t> EncodePositionReport(const PositionReport& r) {
+BitBuffer EncodePositionReport(const PositionReport& r) {
   BitWriter w;
   w.WriteUnsigned(static_cast<uint64_t>(r.type), 6);
   w.WriteUnsigned(0, 2);  // repeat indicator
@@ -148,60 +148,60 @@ std::vector<uint8_t> EncodePositionReport(const PositionReport& r) {
   return w.bits();
 }
 
-Result<PositionReport> DecodePositionReport(const std::vector<uint8_t>& bits) {
+Status DecodePositionReport(const BitBuffer& bits, PositionReport* out) {
   if (bits.size() < 6) return Status::Corruption("payload shorter than 6 bits");
   BitReader rd(bits);
   const int type = static_cast<int>(rd.ReadUnsigned(6));
   if (!IsSupportedType(type)) {
     return Status::Unimplemented(StrPrintf("message type %d", type));
   }
-  PositionReport r;
+  PositionReport& r = *out;
   r.type = static_cast<MessageType>(type);
+  r.nav_status = NavStatus::kNotDefined;
+  r.ship_name.clear();
+  r.ship_type = 0;
   rd.Skip(2);  // repeat indicator
   r.mmsi = static_cast<uint32_t>(rd.ReadUnsigned(30));
   if (type <= 3) {
     r.nav_status = static_cast<NavStatus>(rd.ReadUnsigned(4));
     rd.Skip(8);  // rate of turn
-    r.sog_knots = SogFromRaw(rd.ReadUnsigned(10));
-    r.position_accuracy_high = rd.ReadUnsigned(1) != 0;
-    r.lon_deg = static_cast<double>(rd.ReadSigned(28)) / kCoordScale;
-    r.lat_deg = static_cast<double>(rd.ReadSigned(27)) / kCoordScale;
-    r.cog_deg = CogFromRaw(rd.ReadUnsigned(12));
-    r.true_heading_deg = HeadingFromRaw(rd.ReadUnsigned(9));
-    r.utc_second = static_cast<int>(rd.ReadUnsigned(6));
-    rd.Skip(2 + 3 + 1 + 19);
-    if (rd.overflow()) return Status::Corruption("truncated class A payload");
   } else {
     rd.Skip(8);  // regional reserved
-    r.sog_knots = SogFromRaw(rd.ReadUnsigned(10));
-    r.position_accuracy_high = rd.ReadUnsigned(1) != 0;
-    r.lon_deg = static_cast<double>(rd.ReadSigned(28)) / kCoordScale;
-    r.lat_deg = static_cast<double>(rd.ReadSigned(27)) / kCoordScale;
-    r.cog_deg = CogFromRaw(rd.ReadUnsigned(12));
-    r.true_heading_deg = HeadingFromRaw(rd.ReadUnsigned(9));
-    r.utc_second = static_cast<int>(rd.ReadUnsigned(6));
-    if (type == 18) {
-      rd.Skip(2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 20);
-      if (rd.overflow()) {
-        return Status::Corruption("truncated type 18 payload");
-      }
-    } else {  // type 19
-      rd.Skip(4);
-      r.ship_name = rd.ReadSixbitString(20);
-      r.ship_type = static_cast<int>(rd.ReadUnsigned(8));
-      rd.Skip(9 + 9 + 6 + 6 + 4 + 1 + 1 + 1 + 4);
-      if (rd.overflow()) {
-        return Status::Corruption("truncated type 19 payload");
-      }
-    }
   }
+  // Types 1/2/3 and 18/19 share the block from SOG to the UTC second.
+  r.sog_knots = SogFromRaw(rd.ReadUnsigned(10));
+  r.position_accuracy_high = rd.ReadUnsigned(1) != 0;
+  r.lon_deg = static_cast<double>(rd.ReadSigned(28)) / kCoordScale;
+  r.lat_deg = static_cast<double>(rd.ReadSigned(27)) / kCoordScale;
+  r.cog_deg = CogFromRaw(rd.ReadUnsigned(12));
+  r.true_heading_deg = HeadingFromRaw(rd.ReadUnsigned(9));
+  r.utc_second = static_cast<int>(rd.ReadUnsigned(6));
+  if (type <= 3) {
+    rd.Skip(2 + 3 + 1 + 19);
+    if (rd.overflow()) return Status::Corruption("truncated class A payload");
+  } else if (type == 18) {
+    rd.Skip(2 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 20);
+    if (rd.overflow()) return Status::Corruption("truncated type 18 payload");
+  } else {  // type 19
+    rd.Skip(4);
+    rd.ReadSixbitString(20, &r.ship_name);
+    r.ship_type = static_cast<int>(rd.ReadUnsigned(8));
+    rd.Skip(9 + 9 + 6 + 6 + 4 + 1 + 1 + 1 + 4);
+    if (rd.overflow()) return Status::Corruption("truncated type 19 payload");
+  }
+  return Status::OK();
+}
+
+Result<PositionReport> DecodePositionReport(const BitBuffer& bits) {
+  PositionReport r;
+  if (Status s = DecodePositionReport(bits, &r); !s.ok()) return s;
   return r;
 }
 
 namespace {
 
-std::vector<std::string> BitsToNmea(const std::vector<uint8_t>& bits,
-                                    char channel, int sequence_id) {
+std::vector<std::string> BitsToNmea(const BitBuffer& bits, char channel,
+                                    int sequence_id) {
   int fill = 0;
   const std::string payload = ArmorPayload(bits, &fill);
   // Radio slots limit a sentence payload to 28 armored characters (168 bits);
@@ -217,8 +217,8 @@ std::vector<std::string> BitsToNmea(const std::vector<uint8_t>& bits,
     s.fragment_index = i + 1;
     s.sequence_id = total > 1 ? (sequence_id % 10) : -1;
     s.channel = channel;
-    s.payload = payload.substr(static_cast<size_t>(i) * kMaxPayloadChars,
-                               kMaxPayloadChars);
+    s.payload = std::string_view(payload).substr(
+        static_cast<size_t>(i) * kMaxPayloadChars, kMaxPayloadChars);
     s.fill_bits = (i + 1 == total) ? fill : 0;
     out.push_back(FormatSentence(s));
   }
@@ -232,13 +232,13 @@ std::vector<std::string> EncodeToNmea(const PositionReport& report,
   return BitsToNmea(EncodePositionReport(report), channel, sequence_id);
 }
 
-int PeekMessageType(const std::vector<uint8_t>& bits) {
+int PeekMessageType(const BitBuffer& bits) {
   if (bits.size() < 6) return -1;
   BitReader rd(bits);
   return static_cast<int>(rd.ReadUnsigned(6));
 }
 
-std::vector<uint8_t> EncodeStaticVoyageData(const StaticVoyageData& d) {
+BitBuffer EncodeStaticVoyageData(const StaticVoyageData& d) {
   BitWriter w;
   w.WriteUnsigned(5, 6);
   w.WriteUnsigned(0, 2);  // repeat indicator
@@ -267,8 +267,7 @@ std::vector<uint8_t> EncodeStaticVoyageData(const StaticVoyageData& d) {
   return w.bits();
 }
 
-Result<StaticVoyageData> DecodeStaticVoyageData(
-    const std::vector<uint8_t>& bits) {
+Result<StaticVoyageData> DecodeStaticVoyageData(const BitBuffer& bits) {
   if (bits.size() < 6) return Status::Corruption("payload shorter than 6 bits");
   BitReader rd(bits);
   const int type = static_cast<int>(rd.ReadUnsigned(6));

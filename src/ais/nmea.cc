@@ -1,21 +1,112 @@
 #include "ais/nmea.h"
 
-#include <cstdio>
+#include <limits>
 
+#include "common/check.h"
 #include "common/strings.h"
 
 namespace maritime::ais {
+namespace {
 
-std::string NmeaChecksum(std::string_view body) {
+constexpr char kHexDigits[] = "0123456789ABCDEF";
+
+unsigned char XorSum(std::string_view body) {
   unsigned char sum = 0;
   for (char c : body) sum ^= static_cast<unsigned char>(c);
-  char buf[3];
-  std::snprintf(buf, sizeof(buf), "%02X", sum);
-  return buf;
+  return sum;
+}
+
+char Upper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+/// Case-insensitive compare of two hex digits against the XOR of `body`:
+/// receivers in the wild emit lowercase hex (`*3f`), which is just as valid
+/// as the uppercase we generate.
+bool ChecksumMatches(std::string_view body, std::string_view hex) {
+  const unsigned char sum = XorSum(body);
+  return Upper(hex[0]) == kHexDigits[sum >> 4] &&
+         Upper(hex[1]) == kHexDigits[sum & 15];
+}
+
+/// Numeric AIVDM field; `fallback` when empty or not a small decimal.
+int ParseSmallInt(std::string_view f, int fallback) {
+  if (f.empty()) return fallback;
+  int v = 0;
+  for (char c : f) {
+    if (c < '0' || c > '9') return fallback;
+    // Every numeric AIVDM field is tiny (fragment counts, sequence ids,
+    // fill bits); a value this large is corrupt, and accumulating further
+    // would overflow `int` — undefined behavior on a hostile feed.
+    if (v > 999999) return fallback;
+    v = v * 10 + (c - '0');
+  }
+  return v;
+}
+
+/// A tag block `c:` value: one or more decimal digits that fit an int64.
+bool ParseTagTime(std::string_view s, Timestamp* out) {
+  if (s.empty()) return false;
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  Timestamp v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const Timestamp digit = c - '0';
+    if (v > (kMax - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
+/// Consumes a leading `\<fields>*hh\` tag block from `*line`, if any.
+/// Grammar: fields are `key:value` separated by ','; only `c` (UNIX
+/// seconds) is interpreted, every other key is skipped.
+Status ParseTagBlock(std::string_view* line, std::optional<Timestamp>* time) {
+  const size_t end = line->find('\\', 1);
+  if (end == std::string_view::npos) {
+    return Status::Corruption("unterminated tag block");
+  }
+  const std::string_view tag = line->substr(1, end - 1);
+  const size_t star = tag.rfind('*');
+  if (star == std::string_view::npos || star + 3 != tag.size()) {
+    return Status::Corruption("malformed tag block checksum");
+  }
+  const std::string_view content = tag.substr(0, star);
+  if (!ChecksumMatches(content, tag.substr(star + 1))) {
+    return Status::Corruption("tag block checksum mismatch");
+  }
+  size_t start = 0;
+  while (true) {
+    const size_t comma = content.find(',', start);
+    const std::string_view field = content.substr(start, comma - start);
+    const size_t colon = field.find(':');
+    if (colon == std::string_view::npos) {
+      return Status::Corruption("malformed tag block field");
+    }
+    if (field.substr(0, colon) == "c") {
+      Timestamp t = 0;
+      if (!ParseTagTime(field.substr(colon + 1), &t)) {
+        return Status::Corruption("malformed tag block time");
+      }
+      *time = t;
+    }
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  line->remove_prefix(end + 1);
+  return Status::OK();
+}
+
+}  // namespace
+
+std::string NmeaChecksum(std::string_view body) {
+  const unsigned char sum = XorSum(body);
+  return std::string{kHexDigits[sum >> 4], kHexDigits[sum & 15]};
 }
 
 std::string FormatSentence(const NmeaSentence& s) {
-  std::string body = s.talker;
+  std::string body(s.talker);
   body += ',';
   body += std::to_string(s.fragment_count);
   body += ',';
@@ -33,6 +124,10 @@ std::string FormatSentence(const NmeaSentence& s) {
 
 Result<NmeaSentence> ParseSentence(std::string_view line) {
   line = StripWhitespace(line);
+  NmeaSentence s;
+  if (!line.empty() && line[0] == '\\') {
+    if (Status st = ParseTagBlock(&line, &s.tag_time); !st.ok()) return st;
+  }
   if (line.empty() || line[0] != '!') {
     return Status::Corruption("sentence does not start with '!'");
   }
@@ -41,52 +136,47 @@ Result<NmeaSentence> ParseSentence(std::string_view line) {
     return Status::Corruption("missing or malformed checksum");
   }
   const std::string_view body = line.substr(1, star - 1);
-  const std::string_view checksum = line.substr(star + 1, 2);
-  // Case-insensitive compare: receivers in the wild emit lowercase hex
-  // (`*3f`), which is just as valid as the uppercase we generate.
-  const std::string expected = NmeaChecksum(body);
-  const auto upper = [](char c) {
-    return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
-  };
-  if (upper(checksum[0]) != expected[0] || upper(checksum[1]) != expected[1]) {
+  // One pass over the body computes the checksum and splits the fields.
+  std::string_view fields[7];
+  size_t count = 0;
+  size_t start = 0;
+  unsigned char sum = 0;
+  for (size_t i = 0; i < body.size(); ++i) {
+    const char c = body[i];
+    sum ^= static_cast<unsigned char>(c);
+    if (c == ',') {
+      if (count < 7) fields[count] = body.substr(start, i - start);
+      ++count;
+      start = i + 1;
+    }
+  }
+  if (count < 7) fields[count] = body.substr(start);
+  ++count;
+  if (Upper(line[star + 1]) != kHexDigits[sum >> 4] ||
+      Upper(line[star + 2]) != kHexDigits[sum & 15]) {
     return Status::Corruption("checksum mismatch");
   }
-  const auto fields = SplitString(body, ',');
-  if (fields.size() != 7) {
-    return Status::Corruption(
-        StrPrintf("expected 7 fields, got %zu", fields.size()));
+  if (count != 7) {
+    return Status::Corruption(StrPrintf("expected 7 fields, got %zu", count));
   }
-  NmeaSentence s;
-  s.talker = std::string(fields[0]);
+  s.talker = fields[0];
   if (s.talker != "AIVDM" && s.talker != "AIVDO") {
-    return Status::Corruption("unknown talker '" + s.talker + "'");
+    return Status::Corruption("unknown talker '" + std::string(s.talker) +
+                              "'");
   }
-  auto parse_int = [](std::string_view f, int fallback) {
-    if (f.empty()) return fallback;
-    int v = 0;
-    for (char c : f) {
-      if (c < '0' || c > '9') return fallback;
-      // Every numeric AIVDM field is tiny (fragment counts, sequence ids,
-      // fill bits); a value this large is corrupt, and accumulating further
-      // would overflow `int` — undefined behavior on a hostile feed.
-      if (v > 999999) return fallback;
-      v = v * 10 + (c - '0');
-    }
-    return v;
-  };
-  s.fragment_count = parse_int(fields[1], 0);
-  s.fragment_index = parse_int(fields[2], 0);
-  s.sequence_id = parse_int(fields[3], -1);
+  s.fragment_count = ParseSmallInt(fields[1], 0);
+  s.fragment_index = ParseSmallInt(fields[2], 0);
+  s.sequence_id = ParseSmallInt(fields[3], -1);
   s.channel = fields[4].empty() ? '\0' : fields[4][0];
-  s.payload = std::string(fields[5]);
-  s.fill_bits = parse_int(fields[6], -1);
+  s.payload = fields[5];
+  s.fill_bits = ParseSmallInt(fields[6], -1);
   if (s.fragment_count < 1 || s.fragment_index < 1 ||
       s.fragment_index > s.fragment_count) {
     return Status::Corruption("inconsistent fragment numbering");
   }
   // The NMEA fragment-count field is a single digit, so 9 bounds any valid
-  // sentence. Without this cap a hostile count (e.g. 999999) makes the
-  // FragmentAssembler pre-size its fragment table to match.
+  // sentence. Without this cap a hostile count (e.g. 999999) would size the
+  // FragmentAssembler's fragment table to match.
   if (s.fragment_count > kMaxFragments) {
     return Status::Corruption(
         StrPrintf("fragment count %d exceeds NMEA limit of %d",
@@ -105,67 +195,105 @@ Result<FragmentAssembler::Assembled> FragmentAssembler::Add(
     const NmeaSentence& s) {
   ++add_seq_;
   EvictStale();
-  if (s.fragment_count == 1) {
-    return Assembled{s.payload, s.fill_bits};
-  }
-  const auto key = std::make_pair(s.sequence_id, s.channel);
-  auto& group = pending_[key];
+  if (s.fragment_count == 1) return Assembled{s.payload, s.fill_bits};
+  Group& group = FindOrInsert(s.sequence_id, s.channel);
   group.last_add_seq = add_seq_;
   // Re-run eviction after a possible insert so the cap holds; the group
   // just touched carries the newest sequence number and is never the
-  // eviction victim (map erase leaves other references valid).
+  // eviction victim.
   EvictStale();
-  if (s.fragment_index == 1 && !group.fragments.empty() &&
+  if (s.fragment_index == 1 && group.fragment_count != 0 &&
       !group.fragments[0].empty()) {
     // A second first-fragment means a reused sequence id: the stale partial
     // group restarts. (A first fragment merely arriving after a later one
     // is legal out-of-order delivery and joins the existing group.)
-    const uint64_t seq = group.last_add_seq;
-    group = Pending{};
-    group.last_add_seq = seq;
+    group.Reset();
   }
-  if (group.fragments.empty()) {
-    group.fragments.resize(static_cast<size_t>(s.fragment_count));
-  }
-  if (static_cast<int>(group.fragments.size()) != s.fragment_count) {
-    pending_.erase(key);
+  if (group.fragment_count == 0) group.fragment_count = s.fragment_count;
+  if (group.fragment_count != s.fragment_count) {
+    Release(group);
     return Status::Corruption("fragment count changed within group");
   }
-  auto& slot = group.fragments[static_cast<size_t>(s.fragment_index - 1)];
+  std::string& slot =
+      group.fragments[static_cast<size_t>(s.fragment_index - 1)];
   if (!slot.empty()) {
-    pending_.erase(key);
+    Release(group);
     return Status::Corruption("duplicate fragment index within group");
   }
-  slot = s.payload;
+  slot.assign(s.payload);
   ++group.received;
   if (s.fragment_index == s.fragment_count) group.fill_bits = s.fill_bits;
   if (group.received < s.fragment_count) {
-    return Status::NotFound("awaiting more fragments");
+    // Short enough for the small-string buffer: pending fragments are
+    // routine on every multi-part message and must not allocate.
+    return Status::NotFound("more fragments");
   }
-  Assembled out;
-  for (const auto& f : group.fragments) out.payload += f;
-  out.fill_bits = group.fill_bits;
-  pending_.erase(key);
-  return out;
+  assembled_.clear();
+  for (int i = 0; i < group.fragment_count; ++i) {
+    assembled_ += group.fragments[static_cast<size_t>(i)];
+  }
+  const int fill_bits = group.fill_bits;
+  Release(group);
+  return Assembled{assembled_, fill_bits};
+}
+
+FragmentAssembler::Group& FragmentAssembler::FindOrInsert(int sequence_id,
+                                                          char channel) {
+  Group* free_slot = nullptr;
+  for (Group& g : groups_) {
+    if (!g.active) {
+      if (free_slot == nullptr) free_slot = &g;
+    } else if (g.sequence_id == sequence_id && g.channel == channel) {
+      return g;
+    }
+  }
+  if (free_slot == nullptr) free_slot = &groups_.emplace_back();
+  free_slot->active = true;
+  free_slot->sequence_id = sequence_id;
+  free_slot->channel = channel;
+  ++pending_;
+  return *free_slot;
+}
+
+void FragmentAssembler::Group::Reset() {
+  for (std::string& f : fragments) f.clear();
+  fragment_count = 0;
+  received = 0;
+  fill_bits = 0;
+}
+
+void FragmentAssembler::Release(Group& g) {
+  MARITIME_DCHECK(g.active);
+  g.Reset();
+  g.active = false;
+  --pending_;
+}
+
+void FragmentAssembler::Clear() {
+  for (Group& g : groups_) {
+    if (g.active) Release(g);
+  }
 }
 
 void FragmentAssembler::EvictStale() {
+  MARITIME_DCHECK(options_.max_pending_groups >= 1);
   // Age out groups whose missing fragments are evidently lost; without this
   // the pending buffer grows without bound on a lossy feed.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (add_seq_ - it->second.last_add_seq > options_.max_group_age_adds) {
-      it = pending_.erase(it);
+  for (Group& g : groups_) {
+    if (g.active && add_seq_ - g.last_add_seq > options_.max_group_age_adds) {
+      Release(g);
       ++evicted_groups_;
-    } else {
-      ++it;
     }
   }
-  while (pending_.size() > options_.max_pending_groups) {
-    auto oldest = pending_.begin();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->second.last_add_seq < oldest->second.last_add_seq) oldest = it;
+  while (pending_ > options_.max_pending_groups) {
+    Group* oldest = nullptr;
+    for (Group& g : groups_) {
+      if (g.active &&
+          (oldest == nullptr || g.last_add_seq < oldest->last_add_seq)) {
+        oldest = &g;
+      }
     }
-    pending_.erase(oldest);
+    Release(*oldest);
     ++evicted_groups_;
   }
 }

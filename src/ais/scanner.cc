@@ -15,6 +15,8 @@ Result<stream::PositionTuple> DataScanner::FeedLine(std::string_view line,
     ++stats_.framing_errors;
     return sentence.status();
   }
+  // A tag block's receive time is the receiver's own stamp for this line.
+  if (sentence.value().tag_time) arrival = *sentence.value().tag_time;
   Result<FragmentAssembler::Assembled> assembled =
       assembler_.Add(sentence.value());
   if (!assembled.ok()) {
@@ -25,40 +27,40 @@ Result<stream::PositionTuple> DataScanner::FeedLine(std::string_view line,
     }
     return assembled.status();
   }
-  Result<std::vector<uint8_t>> bits = DearmorPayload(
-      assembled.value().payload, assembled.value().fill_bits);
-  if (!bits.ok()) {
+  if (Status s = DearmorPayload(assembled.value().payload,
+                                assembled.value().fill_bits, &bits_);
+      !s.ok()) {
     ++stats_.payload_errors;
-    return bits.status();
+    return s;
   }
-  if (PeekMessageType(bits.value()) == 5) {
-    Result<StaticVoyageData> data = DecodeStaticVoyageData(bits.value());
+  if (PeekMessageType(bits_) == 5) {
+    Result<StaticVoyageData> data = DecodeStaticVoyageData(bits_);
     if (!data.ok()) {
       ++stats_.payload_errors;
       return data.status();
     }
     ++stats_.static_reports;
     static_reports_.push_back(std::move(data).value());
-    return Status::NotFound("static/voyage data, no position");
+    return Status::NotFound("static report");
   }
-  Result<PositionReport> report = DecodePositionReport(bits.value());
-  if (!report.ok()) {
-    if (report.status().code() == StatusCode::kUnimplemented) {
+  PositionReport& decoded = reports_[current_ ^ 1];
+  if (Status s = DecodePositionReport(bits_, &decoded); !s.ok()) {
+    if (s.code() == StatusCode::kUnimplemented) {
       ++stats_.unsupported_type;
     } else {
       ++stats_.payload_errors;
     }
-    return report.status();
+    return s;
   }
-  if (!report.value().HasPosition()) {
+  if (!decoded.HasPosition()) {
     ++stats_.invalid_position;
     return Status::Corruption("position not available or out of range");
   }
-  last_report_ = report.value();
+  current_ ^= 1;  // the decoded report becomes last_report()
   ++stats_.accepted;
   stream::PositionTuple tuple;
-  tuple.mmsi = last_report_.mmsi;
-  tuple.pos = geo::GeoPoint{last_report_.lon_deg, last_report_.lat_deg};
+  tuple.mmsi = decoded.mmsi;
+  tuple.pos = geo::GeoPoint{decoded.lon_deg, decoded.lat_deg};
   tuple.tau = arrival;
   return tuple;
 }

@@ -36,7 +36,13 @@ struct ScannerStats {
 /// AIS position reports carry only the UTC second of the fix, so a receiver
 /// timestamps each line on arrival. `FeedLine` therefore takes the line's
 /// arrival timestamp; `FeedTagged` parses the `"<tau>\t<sentence>"` format
-/// our simulator and log files use.
+/// our simulator and log files use. A line that carries an NMEA 4.0 tag
+/// block with a `c:` field is stamped with that time instead.
+///
+/// Decoding a position report (types 1/2/3/18) allocates nothing once the
+/// scanner has warmed up: the sentence is parsed in place, the payload is
+/// de-armored into a kept word buffer, and the report is decoded into the
+/// spare one of two kept reports, which becomes last_report() on acceptance.
 class DataScanner {
  public:
   DataScanner() = default;
@@ -56,7 +62,7 @@ class DataScanner {
 
   /// Full decoded report of the last accepted tuple (for consumers that need
   /// SOG/COG or ship metadata besides the positional tuple).
-  const PositionReport& last_report() const { return last_report_; }
+  const PositionReport& last_report() const { return reports_[current_]; }
 
   /// Type 5 static/voyage messages decoded so far; consuming them clears the
   /// buffer. Feed these to the knowledge base (see
@@ -71,7 +77,10 @@ class DataScanner {
 
  private:
   FragmentAssembler assembler_;
-  PositionReport last_report_;
+  BitBuffer bits_;  ///< De-armored payload of the current line.
+  /// reports_[current_] is last_report(); the other is the decode target.
+  PositionReport reports_[2];
+  int current_ = 0;
   std::vector<StaticVoyageData> static_reports_;
   ScannerStats stats_;
 };

@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
+#include "ais/bit_buffer.h"
 #include "common/result.h"
 
 namespace maritime::ais {
@@ -15,13 +16,18 @@ namespace maritime::ais {
 
 /// Converts raw bits into an armored payload string plus the number of fill
 /// bits (0–5) appended to complete the final character.
-std::string ArmorPayload(const std::vector<uint8_t>& bits, int* fill_bits);
+std::string ArmorPayload(const BitBuffer& bits, int* fill_bits);
 
 /// Converts an armored payload string back into bits, dropping `fill_bits`
-/// trailing pad bits. Fails on characters outside the armoring alphabet or
-/// fill_bits outside [0, 5].
-Result<std::vector<uint8_t>> DearmorPayload(const std::string& payload,
-                                            int fill_bits);
+/// trailing pad bits, into `out` (its capacity is reused, so a caller that
+/// keeps one buffer de-armors without allocating). Fails on characters
+/// outside the armoring alphabet (kCorruption), fill_bits outside [0, 5]
+/// (kInvalidArgument) or more fill bits than payload bits (kCorruption).
+/// `out` is unspecified after a failure.
+Status DearmorPayload(std::string_view payload, int fill_bits, BitBuffer* out);
+
+/// Allocating convenience form of the above.
+Result<BitBuffer> DearmorPayload(std::string_view payload, int fill_bits);
 
 /// Maps a 6-bit value (0–63) to its armored ASCII character.
 char ArmorChar(uint8_t value);

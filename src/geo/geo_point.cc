@@ -35,13 +35,25 @@ void HaversineMetersMany(const GeoPoint& ref, std::span<const GeoPoint> pts,
   }
 }
 
+double HaversineMeters(const GeoPoint& a, const LatTrig& ta, const GeoPoint& b,
+                       const LatTrig& tb) {
+  HaversineRef ref;
+  ref.lon = a.lon;
+  ref.lat = a.lat;
+  ref.cos_phi = ta.cos_phi;
+  return ref.MetersTo(b, tb.cos_phi);
+}
+
 double InitialBearingDeg(const GeoPoint& a, const GeoPoint& b) {
-  const double phi1 = DegToRad(a.lat);
-  const double phi2 = DegToRad(b.lat);
+  return InitialBearingDeg(a, LatTrig::Of(a), b, LatTrig::Of(b));
+}
+
+double InitialBearingDeg(const GeoPoint& a, const LatTrig& ta,
+                         const GeoPoint& b, const LatTrig& tb) {
   const double dlambda = DegToRad(b.lon - a.lon);
-  const double y = std::sin(dlambda) * std::cos(phi2);
-  const double x = std::cos(phi1) * std::sin(phi2) -
-                   std::sin(phi1) * std::cos(phi2) * std::cos(dlambda);
+  const double y = std::sin(dlambda) * tb.cos_phi;
+  const double x =
+      ta.cos_phi * tb.sin_phi - ta.sin_phi * tb.cos_phi * std::cos(dlambda);
   return NormalizeBearingDeg(RadToDeg(std::atan2(y, x)));
 }
 
@@ -83,6 +95,10 @@ GeoPoint Centroid(const std::vector<GeoPoint>& pts) {
 }
 
 GeoPoint MedianPoint(std::vector<GeoPoint> pts) {
+  return MedianPointInPlace(pts);
+}
+
+GeoPoint MedianPointInPlace(std::span<GeoPoint> pts) {
   assert(!pts.empty());
   const size_t mid = pts.size() / 2;
   std::nth_element(pts.begin(), pts.begin() + mid, pts.end(),
@@ -99,13 +115,16 @@ GeoPoint MedianPoint(std::vector<GeoPoint> pts) {
 }
 
 double NormalizeBearingDeg(double deg) {
-  double d = std::fmod(deg, 360.0);
+  // fmod is exact, so inside (-360, 360) it returns `deg` itself; skipping
+  // the call there (every atan2-derived bearing) changes no result.
+  double d = deg > -360.0 && deg < 360.0 ? deg : std::fmod(deg, 360.0);
   if (d < 0.0) d += 360.0;
   return d;
 }
 
 double BearingDifferenceDeg(double a, double b) {
-  double d = std::fmod(b - a, 360.0);
+  const double diff = b - a;
+  double d = diff > -360.0 && diff < 360.0 ? diff : std::fmod(diff, 360.0);
   if (d > 180.0) d -= 360.0;
   if (d <= -180.0) d += 360.0;
   return d;

@@ -43,6 +43,25 @@ bool IsValidPosition(const GeoPoint& p);
 /// predicate).
 double HaversineMeters(const GeoPoint& a, const GeoPoint& b);
 
+/// sin and cos of a position's latitude. A caller that measures from the
+/// same fix again and again (the tracker, from each vessel's last report)
+/// keeps these instead of re-evaluating them; the trig-taking overloads of
+/// HaversineMeters and InitialBearingDeg below then give results
+/// bit-identical to the plain ones.
+struct LatTrig {
+  double sin_phi = 0.0;
+  double cos_phi = 1.0;
+
+  static LatTrig Of(const GeoPoint& p) {
+    const double phi = DegToRad(p.lat);
+    return LatTrig{std::sin(phi), std::cos(phi)};
+  }
+};
+
+/// HaversineMeters(a, b) given ta = LatTrig::Of(a), tb = LatTrig::Of(b).
+double HaversineMeters(const GeoPoint& a, const LatTrig& ta, const GeoPoint& b,
+                       const LatTrig& tb);
+
 /// One endpoint of a Haversine batch with its latitude trig hoisted: every
 /// distance against the same reference point reuses cos(lat_ref) instead of
 /// recomputing it, which is the dominant shared subexpression of the formula
@@ -59,14 +78,17 @@ struct HaversineRef {
       : lon(p.lon), lat(p.lat), cos_phi(std::cos(DegToRad(p.lat))) {}
 
   double MetersTo(const GeoPoint& q) const {
-    const double phi2 = DegToRad(q.lat);
+    return MetersTo(q, std::cos(DegToRad(q.lat)));
+  }
+  /// As above, given cos_phi2 = cos(DegToRad(q.lat)).
+  double MetersTo(const GeoPoint& q, double cos_phi2) const {
     const double dphi = DegToRad(q.lat - lat);
     const double dlambda = DegToRad(q.lon - lon);
     const double sin_dphi = std::sin(dphi / 2.0);
     const double sin_dlambda = std::sin(dlambda / 2.0);
     const double h =
         sin_dphi * sin_dphi +
-        cos_phi * std::cos(phi2) * sin_dlambda * sin_dlambda;
+        cos_phi * cos_phi2 * sin_dlambda * sin_dlambda;
     return 2.0 * kEarthRadiusMeters * std::asin(std::min(1.0, std::sqrt(h)));
   }
 };
@@ -84,6 +106,10 @@ void HaversineMetersMany(const GeoPoint& ref, std::span<const GeoPoint> pts,
 /// Initial bearing from `a` to `b` in degrees clockwise from true north,
 /// normalized to [0, 360).
 double InitialBearingDeg(const GeoPoint& a, const GeoPoint& b);
+
+/// InitialBearingDeg(a, b) given ta = LatTrig::Of(a), tb = LatTrig::Of(b).
+double InitialBearingDeg(const GeoPoint& a, const LatTrig& ta,
+                         const GeoPoint& b, const LatTrig& tb);
 
 /// Point reached by travelling `distance_m` meters from `origin` on the
 /// great circle with initial bearing `bearing_deg`.
@@ -103,6 +129,10 @@ GeoPoint Centroid(const std::vector<GeoPoint>& pts);
 /// Coordinate-wise median of a non-empty set of points (used to represent a
 /// slow-motion episode, paper Section 3.1).
 GeoPoint MedianPoint(std::vector<GeoPoint> pts);
+
+/// As above, reordering `pts` in place instead of copying them. The result
+/// depends only on the set of points, not on their order.
+GeoPoint MedianPointInPlace(std::span<GeoPoint> pts);
 
 /// Normalizes an angle in degrees to [0, 360).
 double NormalizeBearingDeg(double deg);

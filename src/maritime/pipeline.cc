@@ -67,10 +67,10 @@ void SurveillancePipeline::RunStaging(StagedSlide* slide) {
   slide->tracking_seconds = NowSeconds() - t0;
   slide->staged_feed = recognizer_->Stage(
       std::span<const tracker::CriticalPoint>(slide->criticals));
-  {
-    std::lock_guard<std::mutex> lock(slide->mu);
-    slide->ready = true;
-  }
+  // Notify under the lock: once `ready` is visible the committer may destroy
+  // the slide, so the condition variable must not be touched after unlock.
+  std::lock_guard<std::mutex> lock(slide->mu);
+  slide->ready = true;
   slide->cv.notify_all();
 }
 

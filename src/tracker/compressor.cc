@@ -6,6 +6,12 @@ namespace maritime::tracker {
 
 std::vector<CriticalPoint> Compressor::Compress(
     std::vector<CriticalPoint> batch, uint64_t raw_count) {
+  return CompressInPlace(&batch, raw_count);
+}
+
+std::vector<CriticalPoint> Compressor::CompressInPlace(
+    std::vector<CriticalPoint>* batch_ptr, uint64_t raw_count) {
+  std::vector<CriticalPoint>& batch = *batch_ptr;
   std::stable_sort(batch.begin(), batch.end(),
                    [](const CriticalPoint& a, const CriticalPoint& b) {
                      if (a.mmsi != b.mmsi) return a.mmsi < b.mmsi;

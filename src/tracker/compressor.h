@@ -37,6 +37,10 @@ class Compressor {
   /// number of raw positions the batch was derived from (for statistics).
   std::vector<CriticalPoint> Compress(std::vector<CriticalPoint> batch,
                                       uint64_t raw_count);
+  /// As above, sorting `*batch` in place instead of taking it over, so a
+  /// caller that keeps the batch as per-slide scratch keeps its capacity.
+  std::vector<CriticalPoint> CompressInPlace(std::vector<CriticalPoint>* batch,
+                                             uint64_t raw_count);
 
   const CompressionStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CompressionStats{}; }

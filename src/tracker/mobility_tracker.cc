@@ -1,5 +1,6 @@
 #include "tracker/mobility_tracker.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -14,35 +15,64 @@ constexpr double kSpeedRatioFloorKnots = 0.5;
 /// samples the mean velocity is not yet a trustworthy course abstraction.
 constexpr size_t kMinHistoryForOutliers = 3;
 
-geo::GeoPoint BufferCentroid(const std::vector<stream::PositionTuple>& buf) {
-  assert(!buf.empty());
-  double lon = 0.0, lat = 0.0;
-  for (const auto& t : buf) {
-    lon += t.pos.lon;
-    lat += t.pos.lat;
-  }
-  const double n = static_cast<double>(buf.size());
-  return geo::GeoPoint{lon / n, lat / n};
-}
-
-geo::GeoPoint BufferMedian(const std::vector<stream::PositionTuple>& buf) {
-  assert(!buf.empty());
-  std::vector<geo::GeoPoint> pts;
-  pts.reserve(buf.size());
-  for (const auto& t : buf) pts.push_back(t.pos);
-  return geo::MedianPoint(std::move(pts));
+size_t Bucket(stream::Mmsi mmsi, size_t buckets) {
+  // Fibonacci hashing: MMSIs are dense decimal ranges, so the multiplier's
+  // high bits spread them over the table.
+  return static_cast<size_t>((uint64_t{mmsi} * 0x9E3779B97F4A7C15ULL) >> 32) &
+         (buckets - 1);
 }
 
 }  // namespace
+
+geo::GeoPoint MobilityTracker::BufferMedian(
+    const std::vector<stream::PositionTuple>& buf) {
+  assert(!buf.empty());
+  median_scratch_.clear();
+  for (const auto& t : buf) median_scratch_.push_back(t.pos);
+  return geo::MedianPointInPlace(median_scratch_);
+}
 
 MobilityTracker::MobilityTracker(TrackerParams params)
     : params_(params) {
   assert(params_.Validate().ok());
 }
 
+int64_t MobilityTracker::SlotOf(stream::Mmsi mmsi) const {
+  if (index_.empty()) return -1;
+  const size_t mask = index_.size() - 1;
+  for (size_t b = Bucket(mmsi, index_.size());; b = (b + 1) & mask) {
+    const uint32_t e = index_[b];
+    if (e == 0) return -1;
+    if (mmsis_[e - 1] == mmsi) return static_cast<int64_t>(e - 1);
+  }
+}
+
+VesselState& MobilityTracker::StateOf(stream::Mmsi mmsi) {
+  const int64_t slot = SlotOf(mmsi);
+  if (slot >= 0) return vessels_[static_cast<size_t>(slot)];
+  if (2 * (mmsis_.size() + 1) > index_.size()) {
+    Rehash(std::max<size_t>(64, 2 * index_.size()));
+  }
+  mmsis_.push_back(mmsi);
+  vessels_.emplace_back();
+  size_t b = Bucket(mmsi, index_.size());
+  while (index_[b] != 0) b = (b + 1) & (index_.size() - 1);
+  index_[b] = static_cast<uint32_t>(mmsis_.size());
+  return vessels_.back();
+}
+
+void MobilityTracker::Rehash(size_t buckets) {
+  index_.assign(buckets, 0);
+  for (size_t i = 0; i < mmsis_.size(); ++i) {
+    size_t b = Bucket(mmsis_[i], buckets);
+    while (index_[b] != 0) b = (b + 1) & (buckets - 1);
+    index_[b] = static_cast<uint32_t>(i + 1);
+  }
+}
+
 const VesselState* MobilityTracker::FindVessel(stream::Mmsi mmsi) const {
-  const auto it = vessels_.find(mmsi);
-  return it == vessels_.end() ? nullptr : &it->second;
+  const int64_t slot = SlotOf(mmsi);
+  return slot < 0 ? nullptr : &vessels_[static_cast<size_t>(slot)];
 }
 
 void MobilityTracker::Emit(const CriticalPoint& cp,
@@ -52,12 +82,19 @@ void MobilityTracker::Emit(const CriticalPoint& cp,
 }
 
 bool MobilityTracker::IsOutlier(const VesselState& vs,
-                                const geo::Velocity& v_now) const {
-  if (vs.recent_velocities.size() < kMinHistoryForOutliers) return false;
-  std::vector<geo::Velocity> recent(vs.recent_velocities.begin(),
-                                    vs.recent_velocities.end());
-  const geo::Velocity v_m = geo::MeanVelocity(recent.data(), recent.size());
-  const double deviation = geo::VelocityDeviationKnots(v_now, v_m);
+                                const VelocitySample& now) const {
+  const HistoryRing<VelocitySample>& ring = vs.recent_velocities;
+  if (ring.size() < kMinHistoryForOutliers) return false;
+  // The mean velocity of the ring, from the components cached at push
+  // time, summed oldest to newest as geo::MeanVelocity sums them.
+  double east = 0.0, north = 0.0;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    east += ring[i].east_mps;
+    north += ring[i].north_mps;
+  }
+  const geo::Velocity v_m = geo::MeanVelocityFromSums(east, north, ring.size());
+  const double deviation =
+      geo::VelocityDeviationKnots(now.east_mps, now.north_mps, v_m);
   const double threshold =
       std::max(params_.outlier_min_speed_knots,
                params_.outlier_speed_factor * v_m.speed_knots);
@@ -70,14 +107,14 @@ void MobilityTracker::CloseStop(VesselState& vs, stream::Mmsi mmsi,
   assert(vs.stop_active && !vs.stop_buffer.empty());
   CriticalPoint cp;
   cp.mmsi = mmsi;
-  cp.pos = BufferCentroid(vs.stop_buffer);
+  cp.pos = vs.StopCentroid();
   cp.tau = end_tau;
   cp.flags = kStopEnd;
   cp.duration = end_tau - vs.stop_start_tau;
   Emit(cp, out);
   vs.stop_active = false;
   vs.stop_start_tau = kInvalidTimestamp;
-  vs.stop_buffer.clear();
+  vs.ClearStop();
 }
 
 void MobilityTracker::CloseSlowMotion(VesselState& vs, stream::Mmsi mmsi,
@@ -106,27 +143,28 @@ bool MobilityTracker::UpdateStop(VesselState& vs,
       // The vessel resumed moving: the stop lasted until the previous sample.
       CloseStop(vs, t.mmsi, vs.last.tau, out);
     } else {
-      vs.stop_buffer.clear();
+      vs.ClearStop();
     }
     return false;
   }
   // Pause sample: check spatial coherence with the current stop candidate.
+  // The centroid comes from running sums, O(1) however long the stop.
   if (!vs.stop_buffer.empty()) {
-    const geo::GeoPoint centroid = BufferCentroid(vs.stop_buffer);
+    const geo::GeoPoint centroid = vs.StopCentroid();
     if (geo::HaversineMeters(t.pos, centroid) > params_.stop_radius_m) {
       // Drifted beyond r: the previous episode (if any) ends here.
       if (vs.stop_active) CloseStop(vs, t.mmsi, vs.last.tau, out);
-      vs.stop_buffer.clear();
+      vs.ClearStop();
     }
   }
-  vs.stop_buffer.push_back(t);
+  vs.PushStop(t);
   if (!vs.stop_active &&
       vs.stop_buffer.size() >= static_cast<size_t>(params_.history_size)) {
     vs.stop_active = true;
     vs.stop_start_tau = vs.stop_buffer.front().tau;
     CriticalPoint cp;
     cp.mmsi = t.mmsi;
-    cp.pos = BufferCentroid(vs.stop_buffer);
+    cp.pos = vs.StopCentroid();
     cp.tau = vs.stop_start_tau;  // Retroactive: the stop began m samples ago.
     cp.flags = kStopStart;
     Emit(cp, out);
@@ -184,11 +222,12 @@ void MobilityTracker::UpdateSlowMotion(VesselState& vs,
 void MobilityTracker::Process(const stream::PositionTuple& tuple,
                               std::vector<CriticalPoint>* out) {
   ++stats_.processed;
-  VesselState& vs = vessels_[tuple.mmsi];
+  VesselState& vs = StateOf(tuple.mmsi);
 
   if (!vs.has_last) {
     vs.has_last = true;
     vs.last = tuple;
+    vs.last_trig = geo::LatTrig::Of(tuple.pos);
     ++vs.accepted_count;
     ++stats_.accepted;
     CriticalPoint cp;
@@ -205,6 +244,19 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
     ++stats_.stale_discarded;
     return;
   }
+  // The new fix's latitude trig is computed once here and kept for the next
+  // tuple; the last fix's comes from the vessel state. One great-circle
+  // distance serves the velocity and the odometer.
+  const geo::LatTrig trig = geo::LatTrig::Of(tuple.pos);
+  const double dist_m =
+      geo::HaversineMeters(vs.last.pos, vs.last_trig, tuple.pos, trig);
+  const auto accept = [&] {
+    vs.odometer_m += dist_m;
+    vs.last = tuple;
+    vs.last_trig = trig;
+    ++vs.accepted_count;
+    ++stats_.accepted;
+  };
 
   if (vs.gap_open) {
     // Gap already reported by AdvanceTo; this sample terminates it.
@@ -218,10 +270,7 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
     vs.gap_open = false;
     vs.gap_start_tau = kInvalidTimestamp;
     vs.ResetMotionState();
-    vs.odometer_m += geo::HaversineMeters(vs.last.pos, tuple.pos);
-    vs.last = tuple;
-    ++vs.accepted_count;
-    ++stats_.accepted;
+    accept();
     return;
   }
 
@@ -244,27 +293,23 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
     end.duration = dt;
     Emit(end, out);
     vs.ResetMotionState();
-    vs.odometer_m += geo::HaversineMeters(vs.last.pos, tuple.pos);
-    vs.last = tuple;
-    ++vs.accepted_count;
-    ++stats_.accepted;
+    accept();
     return;
   }
 
   const geo::Velocity v_now =
-      geo::VelocityBetween(vs.last.pos, vs.last.tau, tuple.pos, tuple.tau);
+      geo::VelocityBetween(vs.last.pos, vs.last_trig, vs.last.tau, tuple.pos,
+                           trig, tuple.tau, dist_m);
+  const VelocitySample now = VelocitySample::Of(v_now);
 
-  if (IsOutlier(vs, v_now)) {
+  if (IsOutlier(vs, now)) {
     ++stats_.outliers_discarded;
     ++vs.consecutive_outliers;
     if (vs.consecutive_outliers >= params_.outlier_reset_count) {
       // Persistent deviation: this is a genuine new course, not noise.
       ++stats_.outlier_resets;
       vs.ResetMotionState();
-      vs.odometer_m += geo::HaversineMeters(vs.last.pos, tuple.pos);
-      vs.last = tuple;
-      ++vs.accepted_count;
-      ++stats_.accepted;
+      accept();
     }
     return;
   }
@@ -311,6 +356,7 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
   const bool in_stop = UpdateStop(vs, tuple, v_now.speed_knots, out);
   UpdateSlowMotion(vs, tuple, v_now.speed_knots, in_stop, out);
 
+  const size_t history = static_cast<size_t>(params_.history_size);
   bool smooth_turn = false;
   if (vs.has_velocity && moving_now && moving_prev) {
     if (turn) {
@@ -318,13 +364,11 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
       // change is already captured by the instantaneous event.
       vs.heading_diffs.clear();
     } else {
-      vs.heading_diffs.push_back(heading_diff);
-      if (vs.heading_diffs.size() >
-          static_cast<size_t>(params_.history_size)) {
-        vs.heading_diffs.pop_front();
-      }
+      vs.heading_diffs.Push(heading_diff, history);
       double cumulative = 0.0;
-      for (const double d : vs.heading_diffs) cumulative += d;
+      for (size_t i = 0; i < vs.heading_diffs.size(); ++i) {
+        cumulative += vs.heading_diffs[i];
+      }
       if (std::fabs(cumulative) > params_.turn_threshold_deg) {
         smooth_turn = true;
         vs.heading_diffs.clear();
@@ -372,17 +416,10 @@ void MobilityTracker::Process(const stream::PositionTuple& tuple,
   }
 
   // --- state update ----------------------------------------------------------
-  vs.recent_velocities.push_back(v_now);
-  if (vs.recent_velocities.size() >
-      static_cast<size_t>(params_.history_size)) {
-    vs.recent_velocities.pop_front();
-  }
+  vs.recent_velocities.Push(now, history);
   vs.v_prev = v_now;
   vs.has_velocity = true;
-  vs.odometer_m += geo::HaversineMeters(vs.last.pos, tuple.pos);
-  vs.last = tuple;
-  ++vs.accepted_count;
-  ++stats_.accepted;
+  accept();
 }
 
 void MobilityTracker::ProcessBatch(
@@ -393,7 +430,9 @@ void MobilityTracker::ProcessBatch(
 
 void MobilityTracker::AdvanceTo(Timestamp now,
                                 std::vector<CriticalPoint>* out) {
-  for (auto& [mmsi, vs] : vessels_) {
+  for (size_t i = 0; i < vessels_.size(); ++i) {
+    VesselState& vs = vessels_[i];
+    const stream::Mmsi mmsi = mmsis_[i];
     if (!vs.has_last || vs.gap_open) continue;
     if (now - vs.last.tau <= params_.gap_period) continue;
     // The vessel fell silent: finalize open episodes, report the gap start
@@ -412,7 +451,9 @@ void MobilityTracker::AdvanceTo(Timestamp now,
 }
 
 void MobilityTracker::Finish(std::vector<CriticalPoint>* out) {
-  for (auto& [mmsi, vs] : vessels_) {
+  for (size_t i = 0; i < vessels_.size(); ++i) {
+    VesselState& vs = vessels_[i];
+    const stream::Mmsi mmsi = mmsis_[i];
     if (vs.stop_active) CloseStop(vs, mmsi, vs.last.tau, out);
     if (vs.slow_active) CloseSlowMotion(vs, mmsi, vs.last.tau, out);
     if (vs.has_last) {

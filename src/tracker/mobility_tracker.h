@@ -2,7 +2,6 @@
 #define MARITIME_TRACKER_MOBILITY_TRACKER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -44,6 +43,10 @@ struct TrackerStats {
 /// (only the two latest positions are examined), O(m) for long-lasting
 /// events (m = params.history_size), matching Section 3.1.
 ///
+/// Vessel states live in a dense array in first-seen order, found through a
+/// flat open-addressing MMSI index; a tuple of a known vessel touches no
+/// allocator (see DESIGN.md §15 for the layout).
+///
 /// Not thread-safe; partition vessels across instances for parallelism (as
 /// the paper does for CE recognition).
 class MobilityTracker {
@@ -75,7 +78,8 @@ class MobilityTracker {
   size_t vessel_count() const { return vessels_.size(); }
 
   /// Read-only view of a vessel's state; nullptr when unknown. Exposed for
-  /// tests and diagnostics.
+  /// tests and diagnostics; valid until the next Process or RestoreFrom
+  /// (a new vessel may move the dense state array).
   const VesselState* FindVessel(stream::Mmsi mmsi) const;
 
   /// Traveled distance of `mmsi` since its first accepted position, in
@@ -98,9 +102,18 @@ class MobilityTracker {
 
  private:
   void Emit(const CriticalPoint& cp, std::vector<CriticalPoint>* out);
-  /// True when `v_now` is an off-course outlier w.r.t. the vessel's mean
+  /// True when `now` is an off-course outlier w.r.t. the vessel's mean
   /// recent velocity.
-  bool IsOutlier(const VesselState& vs, const geo::Velocity& v_now) const;
+  bool IsOutlier(const VesselState& vs, const VelocitySample& now) const;
+  /// Dense index of `mmsi` in vessels_, or -1 when unknown.
+  int64_t SlotOf(stream::Mmsi mmsi) const;
+  /// State of `mmsi`, appending a fresh one for an unseen vessel.
+  VesselState& StateOf(stream::Mmsi mmsi);
+  /// Rebuilds index_ at `buckets` (a power of two) from mmsis_.
+  void Rehash(size_t buckets);
+  void ClearVessels();
+  /// Median position of a slow-motion buffer, computed in median_scratch_.
+  geo::GeoPoint BufferMedian(const std::vector<stream::PositionTuple>& buf);
   /// Closes an active stop episode, emitting kStopEnd.
   void CloseStop(VesselState& vs, stream::Mmsi mmsi, Timestamp end_tau,
                  std::vector<CriticalPoint>* out);
@@ -116,7 +129,13 @@ class MobilityTracker {
                         std::vector<CriticalPoint>* out);
 
   TrackerParams params_;
-  std::unordered_map<stream::Mmsi, VesselState> vessels_;
+  /// Vessel states in first-seen order; mmsis_[i] owns vessels_[i].
+  std::vector<VesselState> vessels_;
+  std::vector<stream::Mmsi> mmsis_;
+  /// Open-addressing (linear probing) MMSI index into vessels_: each bucket
+  /// holds slot + 1, 0 when empty. Kept at most half full.
+  std::vector<uint32_t> index_;
+  std::vector<geo::GeoPoint> median_scratch_;  ///< Reused by BufferMedian.
   TrackerStats stats_;
 };
 

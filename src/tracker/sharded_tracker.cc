@@ -64,10 +64,10 @@ std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
     // Drain this shard's ring inbox on the shard's own task: the scatter
     // happens ring-by-ring in parallel instead of serially on the caller.
     s.ring->DrainInto(&s.inbox);
-    std::vector<CriticalPoint> raw;
-    for (const auto& tuple : s.inbox) s.tracker.Process(tuple, &raw);
-    s.tracker.AdvanceTo(query_time, &raw);
-    s.slide_out = s.compressor.Compress(std::move(raw), s.inbox.size());
+    s.raw.clear();
+    for (const auto& tuple : s.inbox) s.tracker.Process(tuple, &s.raw);
+    s.tracker.AdvanceTo(query_time, &s.raw);
+    s.slide_out = s.compressor.CompressInPlace(&s.raw, s.inbox.size());
     const double seconds = NowSeconds() - t0;
     if (per_shard != nullptr) {
       ShardSlideStats& st = (*per_shard)[i];

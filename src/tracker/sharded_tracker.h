@@ -137,6 +137,7 @@ class ShardedMobilityTracker {
     /// (the pool barrier orders the hand-off between slides).
     std::unique_ptr<common::SpscQueue<stream::PositionTuple>> ring;
     std::vector<stream::PositionTuple> inbox;  ///< Drained slide batch.
+    std::vector<CriticalPoint> raw;  ///< Uncompressed slide output (scratch).
     std::vector<CriticalPoint> slide_out;      ///< Compressed slide output.
   };
 

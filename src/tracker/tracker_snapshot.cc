@@ -21,14 +21,14 @@ constexpr uint8_t kShardedFormatVersion = 1;
 
 void MobilityTracker::SaveTo(snapshot::Writer& w) const {
   w.U8(kTrackerFormatVersion);
-  std::vector<stream::Mmsi> keys;
-  keys.reserve(vessels_.size());
-  for (const auto& [mmsi, vs] : vessels_) keys.push_back(mmsi);
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (const stream::Mmsi mmsi : keys) {
-    w.U32(mmsi);
-    vessels_.at(mmsi).SaveTo(w);
+  std::vector<uint32_t> order(vessels_.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return mmsis_[a] < mmsis_[b]; });
+  w.U64(order.size());
+  for (const uint32_t i : order) {
+    w.U32(mmsis_[i]);
+    vessels_[i].SaveTo(w);
   }
   w.U64(stats_.processed);
   w.U64(stats_.accepted);
@@ -38,8 +38,14 @@ void MobilityTracker::SaveTo(snapshot::Writer& w) const {
   w.U64(stats_.critical_points);
 }
 
-Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
+void MobilityTracker::ClearVessels() {
   vessels_.clear();
+  mmsis_.clear();
+  index_.clear();
+}
+
+Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
+  ClearVessels();
   stats_ = TrackerStats{};
   uint8_t version = 0;
   if (!r.U8(&version)) return snapshot::CorruptionIn("mobility tracker");
@@ -53,15 +59,15 @@ Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
   for (uint64_t i = 0; i < n; ++i) {
     stream::Mmsi mmsi = 0;
     if (!r.U32(&mmsi)) {
-      vessels_.clear();
+      ClearVessels();
       return snapshot::CorruptionIn("mobility tracker");
     }
     VesselState vs;
     if (const Status s = vs.RestoreFrom(r); !s.ok()) {
-      vessels_.clear();
+      ClearVessels();
       return s;
     }
-    vessels_[mmsi] = std::move(vs);
+    StateOf(mmsi) = std::move(vs);
   }
   const bool ok = r.U64(&stats_.processed) && r.U64(&stats_.accepted) &&
                   r.U64(&stats_.stale_discarded) &&
@@ -69,7 +75,7 @@ Status MobilityTracker::RestoreFrom(snapshot::Reader& r) {
                   r.U64(&stats_.outlier_resets) &&
                   r.U64(&stats_.critical_points);
   if (!ok) {
-    vessels_.clear();
+    ClearVessels();
     stats_ = TrackerStats{};
     return snapshot::CorruptionIn("mobility tracker");
   }

@@ -9,7 +9,7 @@ void VesselState::ResetMotionState() {
   has_velocity = false;
   recent_velocities.clear();
   heading_diffs.clear();
-  stop_buffer.clear();
+  ClearStop();
   stop_active = false;
   stop_start_tau = kInvalidTimestamp;
   slow_buffer.clear();
@@ -24,9 +24,11 @@ void VesselState::SaveTo(snapshot::Writer& w) const {
   w.Bool(has_velocity);
   geo::SaveVelocity(v_prev, w);
   w.U64(recent_velocities.size());
-  for (const auto& v : recent_velocities) geo::SaveVelocity(v, w);
+  for (size_t i = 0; i < recent_velocities.size(); ++i) {
+    geo::SaveVelocity(recent_velocities[i].v, w);
+  }
   w.U64(heading_diffs.size());
-  for (const double d : heading_diffs) w.F64(d);
+  for (size_t i = 0; i < heading_diffs.size(); ++i) w.F64(heading_diffs[i]);
   w.U64(stop_buffer.size());
   for (const auto& p : stop_buffer) stream::SavePositionTuple(p, w);
   w.Bool(stop_active);
@@ -50,16 +52,19 @@ Status VesselState::RestoreFrom(snapshot::Reader& r) {
             r.Bool(&has_velocity) && geo::LoadVelocity(r, &v_prev) &&
             r.Count(&n, sizeof(double) * 2);
   if (!ok) return snapshot::CorruptionIn("vessel state");
+  // Rings are restored at their saved size; a snapshot with more entries
+  // than history_size keeps that size (HistoryRing::Push drops one entry
+  // per push once full).
   for (uint64_t i = 0; i < n; ++i) {
     geo::Velocity v;
     if (!geo::LoadVelocity(r, &v)) return snapshot::CorruptionIn("vessel state");
-    recent_velocities.push_back(v);
+    recent_velocities.Push(VelocitySample::Of(v), n);
   }
   if (!r.Count(&n, sizeof(double))) return snapshot::CorruptionIn("vessel state");
   for (uint64_t i = 0; i < n; ++i) {
     double d = 0.0;
     if (!r.F64(&d)) return snapshot::CorruptionIn("vessel state");
-    heading_diffs.push_back(d);
+    heading_diffs.Push(d, n);
   }
   if (!r.Count(&n, sizeof(uint32_t))) return snapshot::CorruptionIn("vessel state");
   for (uint64_t i = 0; i < n; ++i) {
@@ -67,7 +72,7 @@ Status VesselState::RestoreFrom(snapshot::Reader& r) {
     if (!stream::LoadPositionTuple(r, &p)) {
       return snapshot::CorruptionIn("vessel state");
     }
-    stop_buffer.push_back(p);
+    PushStop(p);  // rebuilds the centroid sums in buffer order
   }
   ok = r.Bool(&stop_active) && r.I64(&stop_start_tau) &&
        r.Count(&n, sizeof(uint32_t));
@@ -84,6 +89,7 @@ Status VesselState::RestoreFrom(snapshot::Reader& r) {
        r.I64(&gap_start_tau) && r.I32(&consecutive_outliers) &&
        r.U64(&accepted_count) && r.F64(&odometer_m);
   if (!ok) return snapshot::CorruptionIn("vessel state");
+  last_trig = geo::LatTrig::Of(last.pos);
   return Status::OK();
 }
 

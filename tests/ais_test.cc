@@ -85,7 +85,7 @@ TEST(SixbitTest, DearmorInvertsArmor) {
 TEST(SixbitTest, PayloadRoundTripAllFillSizes) {
   Rng rng(5);
   for (int len = 1; len <= 24; ++len) {
-    std::vector<uint8_t> bits;
+    BitBuffer bits;
     for (int i = 0; i < len; ++i) {
       bits.push_back(static_cast<uint8_t>(rng.NextBelow(2)));
     }
@@ -274,9 +274,10 @@ TEST(FragmentAssemblerTest, ThreeFragmentsFullyReversed) {
   NmeaSentence f;
   f.fragment_count = 3;
   f.sequence_id = 2;
+  const std::string payloads[] = {"1", "2", "3"};
   for (const int idx : {3, 2, 1}) {
     f.fragment_index = idx;
-    f.payload = std::string(1, static_cast<char>('0' + idx));
+    f.payload = payloads[idx - 1];
     const auto r = fa.Add(f);
     if (idx == 1) {
       ASSERT_TRUE(r.ok()) << r.status();
@@ -553,6 +554,113 @@ TEST(ScannerTest, ScanTaggedLogFiltersNoise) {
   EXPECT_EQ(tuples[1].tau, 200);
 }
 
+// --- NMEA 4.0 tag blocks -----------------------------------------------------
+
+// Tag-blocked lines from a satellite AIS feed (SNIPPETS.md, pyais example):
+// a type 1, a single-fragment type 19 and a type 27. Their published
+// tag-block checksums (3D, 3A, 36) are not the XOR of the tag contents
+// (1E, 19, 62), so verbatim they are framing errors; WithValidTagChecksum
+// recomputes them.
+const char* const kTagBlockFixtures[] = {
+    R"(\c:1556260129,s:Sat_A,i:<S>S</S><O>XNS</O><T>A:1556264827 F:+3044000</T>*3D\!AIVDM,1,1,,B,15B<J<0P1qF`kTKs86p=PgwR1PR=,0*77)",
+    R"(\c:1556266429,s:Sat_A,i:<S>S</S><O>XNS</O><T>A:1556270597 F:+3744000</T>*3A\!AIVDM,1,1,,A,C1MjQv03wk?8mP=18D3Q3whHPBL?0`2C0HNL?1ccKV30?081110W,0*4C)",
+    R"(\c:1559524187,s:Stat_B,i:<S>S</S><O>XNS</O><T>A:1559529703 F:-2484000</T>*36\!AIVDM,1,1,,D,KmB<J<0@3tCkC0Bl,0*4F)",
+};
+
+std::string WithValidTagChecksum(const std::string& line) {
+  const size_t star = line.find('*');
+  const std::string content = line.substr(1, star - 1);
+  return "\\" + content + "*" + NmeaChecksum(content) + line.substr(star + 3);
+}
+
+TEST(TagBlockTest, SnippetFixturesDecode) {
+  DataScanner scanner;
+  const auto r1 =
+      scanner.FeedLine(WithValidTagChecksum(kTagBlockFixtures[0]), 5);
+  ASSERT_TRUE(r1.ok()) << r1.status();
+  EXPECT_EQ(r1.value().tau, 1556260129);  // c: wins over the arrival stamp
+  EXPECT_EQ(scanner.last_report().type, MessageType::kPositionReportScheduled);
+
+  // The type 19 decodes, but it reports the "not available" position
+  // (181°, 91°), which the scanner cleans out as an invalid position.
+  const std::string line19 = WithValidTagChecksum(kTagBlockFixtures[1]);
+  const auto sentence = ParseSentence(line19);
+  ASSERT_TRUE(sentence.ok()) << sentence.status();
+  EXPECT_EQ(sentence.value().tag_time, 1556266429);
+  const auto bits = DearmorPayload(sentence.value().payload,
+                                   sentence.value().fill_bits);
+  ASSERT_TRUE(bits.ok()) << bits.status();
+  const auto report = DecodePositionReport(bits.value());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report.value().type, MessageType::kExtendedClassB);
+  EXPECT_EQ(report.value().mmsi, 98345464u);
+  EXPECT_FALSE(report.value().HasPosition());
+  const auto r2 = scanner.FeedLine(line19, 5);
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(scanner.stats().invalid_position, 1u);
+
+  const auto r3 =
+      scanner.FeedLine(WithValidTagChecksum(kTagBlockFixtures[2]), 5);
+  ASSERT_FALSE(r3.ok());
+  EXPECT_EQ(r3.status().code(), StatusCode::kUnimplemented);
+
+  EXPECT_EQ(scanner.stats().accepted, 1u);
+  EXPECT_EQ(scanner.stats().unsupported_type, 1u);
+  EXPECT_EQ(scanner.stats().framing_errors, 0u);
+}
+
+TEST(TagBlockTest, PublishedFixtureChecksumsAreFramingErrors) {
+  DataScanner scanner;
+  for (const char* line : kTagBlockFixtures) {
+    const auto r = scanner.FeedLine(line, 5);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  }
+  EXPECT_EQ(scanner.stats().framing_errors, 3u);
+  EXPECT_EQ(scanner.stats().accepted, 0u);
+}
+
+TEST(TagBlockTest, ArrivalStandsWithoutTimeField) {
+  const auto sentence =
+      EncodeToNmea(MakeReport(MessageType::kPositionReportScheduled)).front();
+  DataScanner scanner;
+  const std::string content = "s:Stat_B,n:42";
+  const auto r = scanner.FeedTagged("98765\t\\" + content + "*" +
+                                    NmeaChecksum(content) + "\\" + sentence);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r.value().tau, 98765);
+  // With a c: field the tag time replaces the tab-tagged stamp.
+  const std::string timed = "c:1700000000,s:Stat_B";
+  const auto r2 = scanner.FeedTagged("98765\t\\" + timed + "*" +
+                                     NmeaChecksum(timed) + "\\" + sentence);
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_EQ(r2.value().tau, 1700000000);
+}
+
+TEST(TagBlockTest, MalformedTagBlocksAreFramingErrors) {
+  const auto sentence =
+      EncodeToNmea(MakeReport(MessageType::kPositionReportScheduled)).front();
+  const auto framed = [&](const std::string& content) {
+    return "\\" + content + "*" + NmeaChecksum(content) + "\\" + sentence;
+  };
+  const std::string bad[] = {
+      "\\c:1700000000*00\\" + sentence,        // checksum mismatch
+      "\\c:1700000000" + sentence,             // unterminated
+      "\\c:1700000000*4\\" + sentence,         // one-digit checksum
+      framed("c:17x0"),                        // non-numeric time
+      framed("c:"),                            // empty time
+      framed("c:99999999999999999999"),        // time beyond int64
+      framed("c:1700000000,junk"),             // field without ':'
+      framed(""),                              // empty block
+      framed("c:1700000000") + "x",            // sentence checksum broken
+  };
+  DataScanner scanner;
+  for (const std::string& line : bad) {
+    EXPECT_FALSE(scanner.FeedLine(line, 5).ok()) << line;
+  }
+  EXPECT_EQ(scanner.stats().framing_errors, std::size(bad));
+}
+
 // --- Regression tests for defects surfaced by the fuzzers / UBSan ---------
 
 TEST(NmeaRegressionTest, HugeFragmentCountIsRejected) {
@@ -584,12 +692,14 @@ TEST(NmeaRegressionTest, MaxFragmentsBoundaryStillAssembles) {
   FragmentAssembler assembler;
   Result<FragmentAssembler::Assembled> last =
       Status::NotFound("no fragment yet");
+  std::string payloads[kMaxFragments];
   for (int i = 1; i <= kMaxFragments; ++i) {
     NmeaSentence s;
     s.fragment_count = kMaxFragments;
     s.fragment_index = i;
     s.sequence_id = 5;
-    s.payload = std::string(4, static_cast<char>('0' + i));
+    payloads[i - 1] = std::string(4, static_cast<char>('0' + i));
+    s.payload = payloads[i - 1];
     s.fill_bits = i == kMaxFragments ? 2 : 0;
     last = assembler.Add(s);
     if (i < kMaxFragments) {
@@ -629,7 +739,7 @@ TEST(SixbitRegressionTest, TruncatedMultipartPayloadSetsOverflowNotCrash) {
   r.mmsi = 237001000;
   r.lon_deg = 23.6;
   r.lat_deg = 37.9;
-  std::vector<uint8_t> bits = EncodePositionReport(r);
+  BitBuffer bits = EncodePositionReport(r);
   bits.resize(bits.size() / 2);
   const auto decoded = DecodePositionReport(bits);
   ASSERT_FALSE(decoded.ok());

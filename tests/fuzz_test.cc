@@ -131,7 +131,7 @@ TEST(CsvFuzzTest, RandomDocumentsNeverCrash) {
 TEST(PayloadFuzzTest, RandomBitsThroughDecoders) {
   Rng rng(31341);
   for (int i = 0; i < 3000; ++i) {
-    std::vector<uint8_t> bits;
+    ais::BitBuffer bits;
     const size_t n = rng.NextBelow(500);
     for (size_t j = 0; j < n; ++j) {
       bits.push_back(static_cast<uint8_t>(rng.NextBelow(2)));

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 
+#include "common/rng.h"
 #include "sim/scenarios.h"
 #include "tracker/compressor.h"
 #include "tracker/mobility_tracker.h"
@@ -351,6 +353,37 @@ TEST(TrackerTest, ComplexityIsBoundedPerVesselState) {
   EXPECT_LE(vs->recent_velocities.size(), 10u);
   EXPECT_LE(vs->heading_diffs.size(), 10u);
   EXPECT_LE(vs->slow_buffer.size(), 10u);
+}
+
+TEST(HistoryRingTest, MatchesDequePushBackPopFront) {
+  // The tracker's histories used to be deques trimmed by one pop_front when
+  // a push_back took them past m; the ring must keep the same entries in
+  // the same order — for every m, after clears, and when it starts out
+  // larger than m (a snapshot taken with a bigger history_size).
+  Rng rng(17);
+  for (int round = 0; round < 200; ++round) {
+    const size_t limit = static_cast<size_t>(rng.NextBelow(40));
+    const size_t restored = static_cast<size_t>(rng.NextBelow(60));
+    HistoryRing<int> ring;
+    std::deque<int> ref;
+    int next = 0;
+    for (size_t i = 0; i < restored; ++i) {
+      ring.Push(next, restored);
+      ref.push_back(next++);
+    }
+    for (int step = 0; step < 300; ++step) {
+      if (rng.NextBool(0.02)) {
+        ring.clear();
+        ref.clear();
+        continue;
+      }
+      ring.Push(next, limit);
+      ref.push_back(next++);
+      if (ref.size() > limit) ref.pop_front();
+      ASSERT_EQ(ring.size(), ref.size()) << "limit " << limit;
+      for (size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(ring[i], ref[i]);
+    }
+  }
 }
 
 TEST(CompressorTest, CoalescesSameVesselSameTime) {

@@ -1,29 +1,63 @@
 #include "snapshot/codec.h"
 
 #include <array>
+#include <bit>
 
 namespace maritime::snapshot {
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// The slicing kernel loads payload bytes as little-endian 64-bit words, like
+// the rest of the codec.
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot codec targets little-endian hosts");
+
+/// Slicing-by-16 tables: t[0] is the classic bytewise table for the reflected
+/// IEEE polynomial, and t[k][b] is the CRC of byte b followed by k zero
+/// bytes, so t[15 - i] folds in byte i of a 16-byte block in one lookup.
+using CrcTables = std::array<std::array<uint32_t, 256>, 16>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 16; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kTables = MakeCrcTables();
+  const CrcTables& t = kTables;
+  const char* p = bytes.data();
+  size_t n = bytes.size();
   uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    c = kTable[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+  for (; n >= 16; p += 16, n -= 16) {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 8, sizeof(hi));
+    lo ^= c;
+    c = t[15][lo & 0xFFu] ^ t[14][(lo >> 8) & 0xFFu] ^
+        t[13][(lo >> 16) & 0xFFu] ^ t[12][(lo >> 24) & 0xFFu] ^
+        t[11][(lo >> 32) & 0xFFu] ^ t[10][(lo >> 40) & 0xFFu] ^
+        t[9][(lo >> 48) & 0xFFu] ^ t[8][lo >> 56] ^
+        t[7][hi & 0xFFu] ^ t[6][(hi >> 8) & 0xFFu] ^
+        t[5][(hi >> 16) & 0xFFu] ^ t[4][(hi >> 24) & 0xFFu] ^
+        t[3][(hi >> 32) & 0xFFu] ^ t[2][(hi >> 40) & 0xFFu] ^
+        t[1][(hi >> 48) & 0xFFu] ^ t[0][hi >> 56];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -1,18 +1,27 @@
 #include "snapshot/snapshot.h"
 
-#include <cstring>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 namespace maritime::snapshot {
+namespace {
 
-std::string EncodeSnapshotFile(std::string_view payload) {
+/// The 20-byte container header framing `payload`.
+std::string EncodeFileHeader(std::string_view payload) {
   Writer w;
   w.U32(kFileMagic);
   w.U32(kFileVersion);
   w.U64(payload.size());
   w.U32(Crc32(payload));
-  std::string out = w.Take();
+  return w.Take();
+}
+
+}  // namespace
+
+std::string EncodeSnapshotFile(std::string_view payload) {
+  std::string out = EncodeFileHeader(payload);
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -47,25 +56,41 @@ Result<std::string_view> DecodeSnapshotFile(std::string_view file) {
 }
 
 Status WriteSnapshotFile(const std::string& path, std::string_view payload) {
-  const std::string image = EncodeSnapshotFile(payload);
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  // Write a sibling file and rename it over `path`: a crash mid-write leaves
+  // the previous checkpoint intact instead of a torn file.
+  const std::string tmp = path + ".tmp";
+  std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
   if (!f) return Status::IoError("snapshot: cannot open " + path);
-  f.write(image.data(), static_cast<std::streamsize>(image.size()));
-  f.flush();
-  if (!f) return Status::IoError("snapshot: write failed for " + path);
+  const std::string header = EncodeFileHeader(payload);
+  f.write(header.data(), static_cast<std::streamsize>(header.size()));
+  f.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  f.close();
+  if (!f) {
+    std::remove(tmp.c_str());
+    return Status::IoError("snapshot: write failed for " + path);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("snapshot: cannot replace " + path);
+  }
   return Status::OK();
 }
 
 Result<std::string> ReadSnapshotFile(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IoError("snapshot: cannot open " + path);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  if (f.bad()) return Status::IoError("snapshot: read failed for " + path);
-  const std::string image = buf.str();
-  Result<std::string_view> payload = DecodeSnapshotFile(image);
-  if (!payload.ok()) return payload.status();
-  return std::string(payload.value());
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!f || ec) return Status::IoError("snapshot: cannot open " + path);
+  std::string image(size, '\0');
+  if (!f.read(image.data(), static_cast<std::streamsize>(size))) {
+    return Status::IoError("snapshot: read failed for " + path);
+  }
+  if (const Result<std::string_view> payload = DecodeSnapshotFile(image);
+      !payload.ok()) {
+    return payload.status();
+  }
+  image.erase(0, kFileHeaderSize);  // the payload, in place
+  return image;
 }
 
 }  // namespace maritime::snapshot

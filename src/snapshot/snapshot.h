@@ -35,10 +35,14 @@ std::string EncodeSnapshotFile(std::string_view payload);
 ///   - trailing garbage after the payload, or CRC mismatch -> Corruption
 Result<std::string_view> DecodeSnapshotFile(std::string_view file);
 
-/// Writes `payload` framed as a snapshot file to `path` (IoError on failure).
+/// Writes `payload` framed as a snapshot file to `path`: the image goes to
+/// `path + ".tmp"`, which is then renamed over `path`, so a crash mid-write
+/// never destroys the previous checkpoint. On failure returns IoError and
+/// leaves `path` untouched.
 Status WriteSnapshotFile(const std::string& path, std::string_view payload);
 
-/// Reads `path`, validates the header + checksum, and returns the payload.
+/// Reads `path`, validates the header + checksum, and returns the payload
+/// (read into one buffer sized from the file; the header is cut in place).
 Result<std::string> ReadSnapshotFile(const std::string& path);
 
 }  // namespace maritime::snapshot

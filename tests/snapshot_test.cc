@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "maritime/live_index.h"
 #include "maritime/me_stream.h"
 #include "maritime/pipeline.h"
@@ -146,6 +148,52 @@ TEST(SnapshotCodecTest, SectionUnderconsumptionDetected) {
   EXPECT_FALSE(r.EndSection(end)) << "reader left bytes unconsumed";
 }
 
+// --- CRC-32 -----------------------------------------------------------------
+
+/// The textbook bytewise CRC-32 (reflected 0xEDB88320, init and final XOR
+/// 0xFFFFFFFF): the reference the sliced production kernel must match.
+uint32_t BytewiseCrc32(std::string_view bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.NextU64() & 0xFFu);
+  return bytes;
+}
+
+TEST(SnapshotCrcTest, KnownAnswers) {
+  EXPECT_EQ(snapshot::Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(snapshot::Crc32(""), 0u);
+  EXPECT_EQ(BytewiseCrc32("123456789"), 0xCBF43926u);
+}
+
+TEST(SnapshotCrcTest, MatchesBytewiseAtEveryLengthAndOffset) {
+  // Lengths straddle the 16-byte stride and the tail loop; offsets cover
+  // every alignment of the 64-bit loads.
+  const std::string bytes = RandomBytes(257 + 16, 13);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const std::string_view in = std::string_view(bytes).substr(offset, len);
+      ASSERT_EQ(snapshot::Crc32(in), BytewiseCrc32(in))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(SnapshotCrcTest, MatchesBytewiseOnLargeBuffer) {
+  const std::string bytes = RandomBytes(4 << 20, 17);
+  EXPECT_EQ(snapshot::Crc32(bytes), BytewiseCrc32(bytes));
+}
+
 // --- file container ---------------------------------------------------------
 
 TEST(SnapshotFileTest, RoundTrip) {
@@ -166,13 +214,20 @@ TEST(SnapshotFileTest, EveryTruncationFailsCleanly) {
 }
 
 TEST(SnapshotFileTest, EveryFlippedByteIsDetected) {
-  const std::string file = snapshot::EncodeSnapshotFile("payload payload");
-  for (size_t i = 0; i < file.size(); ++i) {
-    std::string corrupt = file;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x40);
-    const Result<std::string_view> decoded =
-        snapshot::DecodeSnapshotFile(corrupt);
-    EXPECT_FALSE(decoded.ok()) << "flip at byte " << i;
+  // The second payload spans several 16-byte strides of the CRC kernel plus
+  // a tail, so flips inside the sliced loop are covered too.
+  for (const std::string& payload :
+       {std::string("payload payload"), RandomBytes(71, 5)}) {
+    const std::string file = snapshot::EncodeSnapshotFile(payload);
+    for (size_t i = 0; i < file.size(); ++i) {
+      std::string corrupt = file;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ 0x40);
+      const Result<std::string_view> decoded =
+          snapshot::DecodeSnapshotFile(corrupt);
+      EXPECT_FALSE(decoded.ok())
+          << "flip at byte " << i << " of a " << payload.size()
+          << "-byte payload";
+    }
   }
 }
 
@@ -636,6 +691,44 @@ TEST(PipelineSnapshotTest, SaveLoadFileRoundTrip) {
   SurveillancePipeline b(&world.knowledge, cfg);
   const Status s = b.LoadSnapshot(path);
   ASSERT_TRUE(s.ok()) << s;
+  std::remove(path.c_str());
+}
+
+TEST(PipelineSnapshotTest, FailedWriteLeavesPreviousCheckpoint) {
+  sim::World world = sim::BuildWorld(35, SmallWorldParams());
+  const PipelineConfig cfg = SmallPipelineConfig();
+  SurveillancePipeline a(&world.knowledge, cfg);
+  const std::string path = ::testing::TempDir() + "/atomic.msnp";
+  const std::string tmp = path + ".tmp";
+  ASSERT_TRUE(a.SaveSnapshot(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp)) << "temp file left behind";
+
+  // A directory squatting on the temp name makes the next write fail.
+  std::filesystem::create_directory(tmp);
+  ASSERT_TRUE(std::filesystem::is_directory(tmp));
+  EXPECT_EQ(a.SaveSnapshot(path).code(), StatusCode::kIoError);
+  std::filesystem::remove(tmp);
+
+  // The first checkpoint survived intact.
+  SurveillancePipeline b(&world.knowledge, cfg);
+  const Status s = b.LoadSnapshot(path);
+  ASSERT_TRUE(s.ok()) << s;
+  std::remove(path.c_str());
+}
+
+TEST(PipelineSnapshotTest, FileTruncatedMidPayloadIsCorruption) {
+  sim::World world = sim::BuildWorld(36, SmallWorldParams());
+  const PipelineConfig cfg = SmallPipelineConfig();
+  SurveillancePipeline a(&world.knowledge, cfg);
+  const std::string path = ::testing::TempDir() + "/truncated.msnp";
+  ASSERT_TRUE(a.SaveSnapshot(path).ok());
+  const uintmax_t size = std::filesystem::file_size(path);
+  ASSERT_GT(size, snapshot::kFileHeaderSize + 1);
+  std::filesystem::resize_file(
+      path, snapshot::kFileHeaderSize + (size - snapshot::kFileHeaderSize) / 2);
+
+  SurveillancePipeline b(&world.knowledge, cfg);
+  EXPECT_EQ(b.LoadSnapshot(path).code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 

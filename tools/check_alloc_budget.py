@@ -20,6 +20,11 @@ binary must be present in the report:
   at every history size. A vessel's rings are sized once; the counter is
   its one-time setup plus stop-buffer growth amortized over the trace
   (~0.001-0.004 measured, budget 0.01; a per-tuple allocation is >= 1).
+* micro_snapshot, `allocs_per_checkpoint` — BM_PipelineCheckpoint: one
+  SaveTo + EncodeSnapshotFile of a churned 4-shard pipeline. The budget is
+  the measured count (27): the payload and file strings grow geometrically
+  and the CRC allocates nothing, so any new allocation on the checkpoint
+  path trips the gate.
 
 Allocation counting is a deterministic operator-new interposition, not a
 timing, so the check is stable on shared CI runners.
@@ -59,6 +64,9 @@ BUDGETS = {
         f"BM_{kind}/{m}": 0.01
         for kind in ("ProcessCruise", "ProcessAnchored")
         for m in (2, 10, 50, 200)
+    }),
+    "micro_snapshot": ("allocs_per_checkpoint", {
+        "BM_PipelineCheckpoint": 27.0,
     }),
 }
 

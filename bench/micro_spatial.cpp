@@ -2,17 +2,21 @@
 // predicate. DESIGN.md calls the spatial index our equivalent of RTEC's
 // "declarations" facility — it restricts spatial reasoning to candidate
 // areas near a point. Axes:
-//   - engine: brute (all-areas scan) / grid (candidate lists + exact
-//     re-check) / tiered (tri-state cell labels + edge buckets);
+//   - engine: brute (all-areas scan, the oracle) / tiered (tri-state cell
+//     labels + edge buckets);
 //   - area count: 35 (the paper's world) up to 2240;
-//   - tiered cell size, for the cell-granularity trade-off;
+//   - tiered cell size, for the cell-granularity trade-off (measured on a
+//     geo::SpatialIndex directly: the KnowledgeBase uses the default size);
 // plus the batched AreasCloseToAll lookup and PortContaining across
-// engines. All engines return identical results (asserted in
+// engines. Both engines return identical results (asserted in
 // tests/spatial_index_test.cc); only speed differs.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
+#include "geo/spatial_index.h"
 #include "maritime/knowledge.h"
 #include "sim/world.h"
 
@@ -20,23 +24,13 @@ namespace maritime::surveillance {
 namespace {
 
 SpatialEngine EngineOf(int64_t axis) {
-  switch (axis) {
-    case 0:
-      return SpatialEngine::kBrute;
-    case 1:
-      return SpatialEngine::kGrid;
-    default:
-      return SpatialEngine::kTiered;
-  }
+  return axis == 0 ? SpatialEngine::kBrute : SpatialEngine::kTiered;
 }
 
-KnowledgeBase MakeKbWithAreas(int areas, uint64_t seed, SpatialEngine engine,
-                              double tiered_cell_deg = 0.02) {
-  SpatialOptions spatial;
-  spatial.engine = engine;
-  spatial.tiered_cell_deg = tiered_cell_deg;
-  KnowledgeBase kb(1000.0, spatial);
+/// The random area set every area-count axis draws from.
+std::vector<AreaInfo> RandomAreas(int areas, uint64_t seed) {
   Rng rng(seed);
+  std::vector<AreaInfo> out;
   for (int i = 0; i < areas; ++i) {
     AreaInfo a;
     a.id = i + 1;
@@ -45,8 +39,14 @@ KnowledgeBase MakeKbWithAreas(int areas, uint64_t seed, SpatialEngine engine,
         geo::GeoPoint{rng.NextDouble(22.5, 27.5), rng.NextDouble(35.0, 41.0)},
         rng.NextDouble(2000.0, 8000.0), 8);
     if (a.kind == AreaKind::kShallow) a.depth_m = 4.0;
-    kb.AddArea(a);
+    out.push_back(std::move(a));
   }
+  return out;
+}
+
+KnowledgeBase MakeKbWithAreas(int areas, uint64_t seed, SpatialEngine engine) {
+  KnowledgeBase kb(1000.0, engine);
+  for (AreaInfo& a : RandomAreas(areas, seed)) kb.AddArea(std::move(a));
   return kb;
 }
 
@@ -89,22 +89,25 @@ void BM_AreasCloseTo(benchmark::State& state) {
     benchmark::DoNotOptimize(kb.AreasCloseTo(points[i++ & 1023]));
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::string(SpatialEngineName(kb.spatial_options().engine)));
+  state.SetLabel(std::string(SpatialEngineName(kb.spatial_engine())));
 }
-BENCHMARK(BM_AreasCloseTo)
-    ->ArgsProduct({{0, 1, 2}, {35, 140, 560, 2240}});
+BENCHMARK(BM_AreasCloseTo)->ArgsProduct({{0, 1}, {35, 140, 560, 2240}});
 
 // --- tiered cell-size axis --------------------------------------------------
 
 void BM_AreasCloseTo_TieredCellDeg(benchmark::State& state) {
   // range(0) is the cell size in millidegrees.
-  const double cell_deg = static_cast<double>(state.range(0)) / 1000.0;
-  const KnowledgeBase kb =
-      MakeKbWithAreas(560, 11, SpatialEngine::kTiered, cell_deg);
+  geo::SpatialIndex::Options options;
+  options.cell_deg = static_cast<double>(state.range(0)) / 1000.0;
+  geo::SpatialIndex index(1000.0, options);
+  for (const AreaInfo& a : RandomAreas(560, 11)) index.Insert(a.id, a.polygon);
   const auto points = QueryPoints(1024, 12);
+  geo::SpatialIndex::Cache cache;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kb.AreasCloseTo(points[i++ & 1023]));
+    std::vector<int32_t> out;
+    index.AreasCloseTo(points[i++ & 1023], &out, &cache);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -122,27 +125,25 @@ void BM_AreasCloseToAll(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(points.size()));
-  state.SetLabel(std::string(SpatialEngineName(kb.spatial_options().engine)));
+  state.SetLabel(std::string(SpatialEngineName(kb.spatial_engine())));
 }
-BENCHMARK(BM_AreasCloseToAll)->ArgsProduct({{0, 1, 2}, {35, 560}});
+BENCHMARK(BM_AreasCloseToAll)->ArgsProduct({{0, 1}, {35, 560}});
 
 // --- PortContaining across engines ------------------------------------------
 
 void BM_PortContaining(benchmark::State& state) {
   sim::WorldParams params;
   sim::World world = sim::BuildWorld(13, params);
-  SpatialOptions spatial;
-  spatial.engine = EngineOf(state.range(0));
-  KnowledgeBase kb(params.close_threshold_m, spatial);
+  KnowledgeBase kb(params.close_threshold_m, EngineOf(state.range(0)));
   for (const AreaInfo& a : world.knowledge.areas()) kb.AddArea(a);
   const auto points = QueryPoints(1024, 14);
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(kb.PortContaining(points[i++ & 1023]));
   }
-  state.SetLabel(std::string(SpatialEngineName(kb.spatial_options().engine)));
+  state.SetLabel(std::string(SpatialEngineName(kb.spatial_engine())));
 }
-BENCHMARK(BM_PortContaining)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_PortContaining)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace maritime::surveillance

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geo/grid_index.h"
 #include "geo/polygon.h"
 #include "geo/spatial_index.h"
 #include "stream/position.h"
@@ -63,23 +62,15 @@ struct VesselInfo {
   bool fishing_gear = false;  ///< Registered fishing vessel.
 };
 
-/// Which acceleration structure answers the spatial predicates. All three
-/// engines return bit-identical results in a deterministic order (ids
-/// sorted ascending); they differ only in speed.
+/// Which structure answers the spatial predicates. Both engines return
+/// bit-identical results in a deterministic order (ids sorted ascending);
+/// they differ only in speed.
 enum class SpatialEngine : uint8_t {
   kBrute,   ///< Full scan over every area (the differential-test oracle).
-  kGrid,    ///< Uniform grid of candidate ids; exact re-check per candidate.
   kTiered,  ///< Two-tier SpatialIndex: label lookups + edge buckets.
 };
 
 std::string_view SpatialEngineName(SpatialEngine engine);
-
-/// Spatial-acceleration configuration of a KnowledgeBase.
-struct SpatialOptions {
-  SpatialEngine engine = SpatialEngine::kTiered;
-  double tiered_cell_deg = 0.02;  ///< SpatialIndex cell size (~2.2 km).
-  double grid_cell_deg = 0.25;    ///< Legacy grid cell size (~25 km).
-};
 
 /// The static geographical and vessel knowledge the CE recognition module
 /// correlates with the ME stream. Lookup of areas near a point goes through
@@ -91,7 +82,7 @@ class KnowledgeBase {
   /// predicate: a point is close to an area when its Haversine distance to
   /// the polygon is below the threshold (0 inside the polygon).
   explicit KnowledgeBase(double close_threshold_m = 1000.0,
-                         SpatialOptions spatial = {});
+                         SpatialEngine engine = SpatialEngine::kTiered);
 
   void AddArea(AreaInfo area);
   void AddVessel(VesselInfo vessel);
@@ -109,7 +100,7 @@ class KnowledgeBase {
   const VesselInfo* FindVessel(stream::Mmsi mmsi) const;
   size_t vessel_count() const { return vessels_.size(); }
   double close_threshold_m() const { return close_threshold_m_; }
-  const SpatialOptions& spatial_options() const { return spatial_options_; }
+  SpatialEngine spatial_engine() const { return engine_; }
 
   /// The atemporal `close` predicate of the paper's rule-sets.
   bool Close(const geo::GeoPoint& p, int32_t area_id) const;
@@ -162,15 +153,11 @@ class KnowledgeBase {
 
  private:
   double close_threshold_m_;
-  SpatialOptions spatial_options_;
+  SpatialEngine engine_;
   std::vector<AreaInfo> areas_;
   std::unordered_map<int32_t, size_t> area_index_;
   std::unordered_map<stream::Mmsi, VesselInfo> vessels_;
-  geo::GridIndex grid_;        ///< Populated under SpatialEngine::kGrid.
   geo::SpatialIndex spatial_;  ///< Populated under SpatialEngine::kTiered.
-  /// Areas the grid cannot enumerate cells for (non-finite vertices); the
-  /// grid engine scans these on every query so it stays exact.
-  std::vector<int32_t> grid_unindexed_;
 };
 
 }  // namespace maritime::surveillance

@@ -114,9 +114,11 @@ SlideReport SurveillancePipeline::CommitNextSlide() {
 
   // --- commit barrier: every shared-state mutation, in slide order ----------
   recognizer_->Feed(std::move(slide->staged_feed));
-  for (const auto& cp : slide->criticals) {
-    window_criticals_.push_back(cp);
-    all_criticals_.push_back(cp);
+  all_criticals_.insert(all_criticals_.end(), slide->criticals.begin(),
+                        slide->criticals.end());
+  if (archiver_ != nullptr) {
+    window_criticals_.insert(window_criticals_.end(),
+                             slide->criticals.begin(), slide->criticals.end());
   }
 
   const double t1 = NowSeconds();
@@ -196,10 +198,7 @@ SlideReport SurveillancePipeline::Finish() {
   tracker_.Finish(&tail);
   report.tracking_seconds = NowSeconds() - t0;
   report.critical_points = tail.size();
-  for (const auto& cp : tail) {
-    all_criticals_.push_back(cp);
-    window_criticals_.push_back(cp);
-  }
+  all_criticals_.insert(all_criticals_.end(), tail.begin(), tail.end());
 
   if (!tail.empty()) {
     // The tail events (episode closings, last anchors) arrived after the
@@ -223,6 +222,7 @@ SlideReport SurveillancePipeline::Finish() {
   if (archiver_ != nullptr) {
     std::vector<tracker::CriticalPoint> rest(window_criticals_.begin(),
                                              window_criticals_.end());
+    rest.insert(rest.end(), tail.begin(), tail.end());
     window_criticals_.clear();
     if (!rest.empty()) archiver_->ArchiveBatch(rest);
   }

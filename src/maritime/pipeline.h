@@ -246,7 +246,8 @@ class SurveillancePipeline {
   std::unique_ptr<PartitionedRecognizer> recognizer_;
   std::unique_ptr<mod::HermesArchiver> archiver_;
   Timestamp last_query_ = kInvalidTimestamp;
-  /// Critical points not yet evicted from the window (awaiting archival).
+  /// Critical points not yet evicted from the window, awaiting archival.
+  /// Always empty without an archiver: nothing would ever drain it.
   std::deque<tracker::CriticalPoint> window_criticals_;
   std::vector<tracker::CriticalPoint> all_criticals_;
   /// Slides staged ahead, oldest first. Mutated only by the owner thread;

@@ -94,7 +94,10 @@ void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
   m.partitions = config_.partitions;
   m.tracker_shards = config_.tracker_shards;
   m.archive = config_.archive;
-  m.incremental_recognition = config_.incremental_recognition;
+  // The engine that actually runs: recognition_engine may override the
+  // legacy flag, and kAuto resolves from the window shape.
+  m.incremental_recognition =
+      recognizer_->partition(0).engine().options().incremental;
   m.window_critical_points = window_criticals_.size();
   m.archived_trips = archiver_ ? archiver_->store().trip_count() : 0;
   const PartitionedRecognizer::RecognizeTotals totals = recognizer_->totals();
@@ -139,7 +142,8 @@ Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {
   if (m.archive != config_.archive) {
     return Status::InvalidArgument("snapshot: pipeline archive flag mismatch");
   }
-  if (m.incremental_recognition != config_.incremental_recognition) {
+  if (m.incremental_recognition !=
+      recognizer_->partition(0).engine().options().incremental) {
     return Status::InvalidArgument(
         "snapshot: pipeline recognition mode mismatch");
   }
@@ -180,6 +184,9 @@ Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {
     window_criticals_.clear();
     return snapshot::CorruptionIn("pipeline section");
   }
+  // Older builds buffered critical points without an archiver too; nothing
+  // would ever drain them here.
+  if (archiver_ == nullptr) window_criticals_.clear();
 
   if (!r.BeginSection(kArchiverTag, kSectionVersion, &version, &end)) {
     return snapshot::SectionError(r, "archiver section");

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "snapshot/snapshot.h"
 #include "stream/replayer.h"
 #include "tracker/sharded_tracker.h"
+#include "tracker/snapshot_io.h"
 
 namespace maritime {
 namespace {
@@ -667,6 +670,180 @@ TEST(PipelineSnapshotTest, ConfigMismatchIsInvalidArgument) {
   SurveillancePipeline b5(&world.knowledge, other);
   snapshot::Reader r5(w.bytes());
   EXPECT_EQ(b5.RestoreFrom(r5).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PipelineSnapshotTest, ManifestRecordsTheResolvedEngine) {
+  // The manifest's recognition mode is the engine that runs, whichever
+  // config field selected it.
+  sim::World world = sim::BuildWorld(38, SmallWorldParams());
+  struct Case {
+    const char* name;
+    PipelineConfig cfg;
+    bool incremental;
+  };
+  std::vector<Case> cases;
+  PipelineConfig cfg = SmallPipelineConfig();
+  cases.push_back({"default", cfg, false});
+  cfg.incremental_recognition = true;
+  cases.push_back({"legacy flag", cfg, true});
+  cfg = SmallPipelineConfig();
+  cfg.recognition_engine = surveillance::EngineMode::kIncremental;
+  cases.push_back({"kIncremental", cfg, true});
+  cfg.recognition_engine = surveillance::EngineMode::kAuto;  // ω = 6β
+  cases.push_back({"kAuto, long window", cfg, true});
+  cfg.window = stream::WindowSpec{kHour, kHour};
+  cases.push_back({"kAuto, ω = β", cfg, false});
+  cfg = SmallPipelineConfig();
+  cfg.incremental_recognition = true;
+  cfg.recognition_engine = surveillance::EngineMode::kNaive;
+  cases.push_back({"kNaive overrides the flag", cfg, false});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SurveillancePipeline pipeline(&world.knowledge, c.cfg);
+    snapshot::Writer w;
+    pipeline.SaveTo(w);
+    const Result<surveillance::SnapshotManifest> m =
+        surveillance::ReadSnapshotManifest(w.bytes());
+    ASSERT_TRUE(m.ok()) << m.status();
+    EXPECT_EQ(m.value().incremental_recognition, c.incremental);
+  }
+}
+
+TEST(PipelineSnapshotTest, EngineSelectorsWithOneEngineShareSnapshots) {
+  // The legacy flag and the engine enum selecting the same engine are the
+  // same recognizer, so their snapshots restore into each other.
+  sim::World world = sim::BuildWorld(39, SmallWorldParams());
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 8;
+  fleet_cfg.duration = 2 * kHour;
+  fleet_cfg.seed = 7;
+  sim::FleetSimulator fleet(&world, fleet_cfg);
+  stream::StreamReplayer replayer(fleet.Generate());
+
+  PipelineConfig by_flag = SmallPipelineConfig();
+  by_flag.incremental_recognition = true;
+  PipelineConfig by_enum = SmallPipelineConfig();
+  by_enum.recognition_engine = surveillance::EngineMode::kIncremental;
+
+  SurveillancePipeline a(&world.knowledge, by_flag);
+  stream::QueryTimeSequence q(by_flag.window, replayer.first_timestamp());
+  for (int i = 0; i < 4; ++i) {
+    const Timestamp qt = q.Fire();
+    a.RunSlide(qt, replayer.NextBatch(qt));
+  }
+  snapshot::Writer wa;
+  a.SaveTo(wa);
+  SurveillancePipeline b(&world.knowledge, by_enum);
+  snapshot::Reader ra(wa.bytes());
+  const Status sb = b.RestoreFrom(ra);
+  ASSERT_TRUE(sb.ok()) << sb;
+
+  snapshot::Writer wb;
+  b.SaveTo(wb);
+  EXPECT_TRUE(wb.bytes() == wa.bytes()) << "restored state differs";
+  SurveillancePipeline c(&world.knowledge, by_flag);
+  snapshot::Reader rb(wb.bytes());
+  const Status sc = c.RestoreFrom(rb);
+  ASSERT_TRUE(sc.ok()) << sc;
+}
+
+/// One top-level section of a pipeline snapshot (framing: u32 FourCC tag,
+/// u8 version, u64 payload length, payload).
+struct Frame {
+  size_t begin = 0;  ///< Offset of the tag.
+  size_t end = 0;    ///< One past the payload.
+  uint64_t length = 0;
+};
+constexpr size_t kFrameHeader = sizeof(uint32_t) + 1 + sizeof(uint64_t);
+
+std::map<std::string, Frame> Frames(std::string_view bytes) {
+  std::map<std::string, Frame> out;
+  size_t pos = 0;
+  while (pos + kFrameHeader <= bytes.size()) {
+    Frame f;
+    f.begin = pos;
+    std::memcpy(&f.length, bytes.data() + pos + sizeof(uint32_t) + 1,
+                sizeof(f.length));
+    f.end = pos + kFrameHeader + f.length;
+    out[std::string(bytes.substr(pos, sizeof(uint32_t)))] = f;
+    pos = f.end;
+  }
+  return out;
+}
+
+TEST(PipelineSnapshotTest, UnarchivedRunBuffersNoCriticalPoints) {
+  // Only the archiver drains the window's critical-point buffer, so without
+  // one the buffer must stay empty: the snapshot's pipeline section is its
+  // bare count however long the run.
+  sim::World world = sim::BuildWorld(37, SmallWorldParams());
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 10;
+  fleet_cfg.duration = 4 * kHour;
+  fleet_cfg.seed = 6;
+  sim::FleetSimulator fleet(&world, fleet_cfg);
+  stream::StreamReplayer replayer(fleet.Generate());
+
+  PipelineConfig cfg = SmallPipelineConfig();
+  cfg.archive = false;
+  SurveillancePipeline pipeline(&world.knowledge, cfg);
+  stream::QueryTimeSequence q(cfg.window, replayer.first_timestamp());
+  const auto check = [&](const std::string& when) {
+    snapshot::Writer w;
+    pipeline.SaveTo(w);
+    const Result<surveillance::SnapshotManifest> m =
+        surveillance::ReadSnapshotManifest(w.bytes());
+    ASSERT_TRUE(m.ok()) << m.status();
+    EXPECT_EQ(m.value().window_critical_points, 0u) << when;
+    EXPECT_EQ(Frames(w.bytes()).at("PIPE").length, sizeof(uint64_t)) << when;
+  };
+  size_t emitted = 0;
+  for (int i = 1; i <= 24; ++i) {
+    const Timestamp qt = q.Fire();
+    emitted += pipeline.RunSlide(qt, replayer.NextBatch(qt)).critical_points;
+    if (i % 6 == 0) check("after slide " + std::to_string(i));
+  }
+  emitted += pipeline.Finish().critical_points;
+  check("after Finish");
+  EXPECT_GT(emitted, 0u) << "the run must produce critical points";
+}
+
+TEST(PipelineSnapshotTest, UnarchivedRestoreDropsBufferedCriticalPoints) {
+  // Snapshots of archive-less runs written before the buffer was bounded
+  // carry critical points nothing will drain; restore drops them.
+  sim::World world = sim::BuildWorld(40, SmallWorldParams());
+  PipelineConfig cfg = SmallPipelineConfig();
+  cfg.archive = false;
+  SurveillancePipeline a(&world.knowledge, cfg);
+  snapshot::Writer w;
+  a.SaveTo(w);
+  const std::string& bytes = w.bytes();
+  const Frame pipe = Frames(bytes).at("PIPE");
+
+  // Splice in a pipeline section holding one buffered point.
+  snapshot::Writer payload;
+  payload.U64(1);
+  tracker::CriticalPoint cp;
+  cp.mmsi = 237000001;
+  cp.tau = 1000;
+  tracker::SaveCriticalPoint(cp, payload);
+  const uint64_t length = payload.bytes().size();
+  std::string legacy = bytes.substr(0, pipe.begin + sizeof(uint32_t) + 1);
+  legacy.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  legacy += payload.bytes();
+  legacy += bytes.substr(pipe.end);
+
+  SurveillancePipeline b(&world.knowledge, cfg);
+  snapshot::Reader r(legacy);
+  const Status s = b.RestoreFrom(r);
+  ASSERT_TRUE(s.ok()) << s;
+  snapshot::Writer resaved;
+  b.SaveTo(resaved);
+  const Result<surveillance::SnapshotManifest> m =
+      surveillance::ReadSnapshotManifest(resaved.bytes());
+  ASSERT_TRUE(m.ok()) << m.status();
+  EXPECT_EQ(m.value().window_critical_points, 0u);
+  EXPECT_TRUE(resaved.bytes() == bytes) << "restored state differs";
 }
 
 TEST(PipelineSnapshotTest, SaveLoadFileRoundTrip) {

@@ -18,7 +18,6 @@ using surveillance::AreaInfo;
 using surveillance::AreaKind;
 using surveillance::KnowledgeBase;
 using surveillance::SpatialEngine;
-using surveillance::SpatialOptions;
 
 // ---------------------------------------------------------------------------
 // Brute-force oracles (definitionally what the index must reproduce).
@@ -277,17 +276,13 @@ TEST(SpatialIndexTest, DegenerateShapesMatchBruteSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// KnowledgeBase engine equivalence: brute / grid / tiered answer every
-// spatial predicate identically, in the same deterministic order.
+// KnowledgeBase engine equivalence: brute and tiered answer every spatial
+// predicate identically, in the same deterministic order.
 // ---------------------------------------------------------------------------
 
 KnowledgeBase MakeKb(SpatialEngine engine, double threshold_m,
-                     const std::vector<AreaInfo>& areas,
-                     double grid_cell_deg = 0.25) {
-  SpatialOptions opts;
-  opts.engine = engine;
-  opts.grid_cell_deg = grid_cell_deg;
-  KnowledgeBase kb(threshold_m, opts);
+                     const std::vector<AreaInfo>& areas) {
+  KnowledgeBase kb(threshold_m, engine);
   for (const AreaInfo& a : areas) kb.AddArea(a);
   return kb;
 }
@@ -315,7 +310,6 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
   Rng rng(0x6b1);
   const std::vector<AreaInfo> areas = RandomAreas(rng, region, 60);
   const KnowledgeBase brute = MakeKb(SpatialEngine::kBrute, threshold_m, areas);
-  const KnowledgeBase grid = MakeKb(SpatialEngine::kGrid, threshold_m, areas);
   const KnowledgeBase tiered =
       MakeKb(SpatialEngine::kTiered, threshold_m, areas);
 
@@ -327,29 +321,21 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
     batch.push_back(p);
     const std::vector<int32_t> want = brute.AreasCloseTo(p);
     EXPECT_TRUE(std::is_sorted(want.begin(), want.end()));
-    ASSERT_EQ(grid.AreasCloseTo(p), want);
     ASSERT_EQ(tiered.AreasCloseTo(p), want);
     for (const AreaKind kind :
          {AreaKind::kPort, AreaKind::kProtected, AreaKind::kShallow}) {
       const std::vector<int32_t> want_kind = brute.AreasCloseTo(p, kind);
-      ASSERT_EQ(grid.AreasCloseTo(p, kind), want_kind);
       ASSERT_EQ(tiered.AreasCloseTo(p, kind), want_kind);
-      ASSERT_EQ(grid.AnyAreaCloseTo(p, kind), !want_kind.empty());
       ASSERT_EQ(tiered.AnyAreaCloseTo(p, kind), !want_kind.empty());
     }
     const AreaInfo* want_port = brute.PortContaining(p);
-    const AreaInfo* grid_port = grid.PortContaining(p);
     const AreaInfo* tiered_port = tiered.PortContaining(p);
-    ASSERT_EQ(grid_port == nullptr, want_port == nullptr);
     ASSERT_EQ(tiered_port == nullptr, want_port == nullptr);
     if (want_port != nullptr) {
-      ASSERT_EQ(grid_port->id, want_port->id);
       ASSERT_EQ(tiered_port->id, want_port->id);
     }
     for (const AreaInfo& a : areas) {
-      ASSERT_EQ(grid.Close(p, a.id), brute.Close(p, a.id));
       ASSERT_EQ(tiered.Close(p, a.id), brute.Close(p, a.id));
-      ASSERT_EQ(grid.InsideArea(p, a.id), brute.InsideArea(p, a.id));
       ASSERT_EQ(tiered.InsideArea(p, a.id), brute.InsideArea(p, a.id));
     }
   }
@@ -362,12 +348,12 @@ TEST(KnowledgeBaseEngineTest, EnginesAgreeAndOutputsAreSorted) {
   }
 }
 
-TEST(KnowledgeBaseEngineTest, GridMarginCoversHighLatitudeNeighborhoods) {
-  // Regression for the latitude-independent grid margin: at 84.5N the
-  // close threshold of 1000 m spans ~0.098 degrees of longitude, far more
-  // than the old fixed margin of 1000/111000*2 + 0.01 ~ 0.028 degrees.
-  // With fine grid cells the old code pruned away genuinely-close areas
-  // west/east of a polygon; the bbox-latitude-derived margin must not.
+TEST(KnowledgeBaseEngineTest, HighLatitudeNeighborhoodsMatchBrute) {
+  // At 84.5N the close threshold of 1000 m spans ~0.098 degrees of
+  // longitude, several default (0.02 deg) tiered cells: the index's
+  // longitude margin must be derived from the polygon's latitude, not a
+  // mid-latitude constant, or genuinely-close cells west/east of the
+  // polygon are pruned as all-far.
   const double threshold_m = 1000.0;
   AreaInfo area;
   area.id = 42;
@@ -375,10 +361,6 @@ TEST(KnowledgeBaseEngineTest, GridMarginCoversHighLatitudeNeighborhoods) {
   area.polygon = Polygon::RegularPolygon(GeoPoint{12.0, 84.5}, 500.0, 8);
   const std::vector<AreaInfo> areas = {area};
 
-  // Fine cells (0.01 deg) so the margin itself, not cell quantization,
-  // decides which cells know about the area.
-  const KnowledgeBase grid =
-      MakeKb(SpatialEngine::kGrid, threshold_m, areas, /*grid_cell_deg=*/0.01);
   const KnowledgeBase brute = MakeKb(SpatialEngine::kBrute, threshold_m, areas);
   const KnowledgeBase tiered =
       MakeKb(SpatialEngine::kTiered, threshold_m, areas);
@@ -388,14 +370,14 @@ TEST(KnowledgeBaseEngineTest, GridMarginCoversHighLatitudeNeighborhoods) {
     const GeoPoint p =
         DestinationPoint(GeoPoint{12.0, 84.5}, 270.0, 500.0 + d);
     const std::vector<int32_t> want = brute.AreasCloseTo(p);
-    ASSERT_EQ(grid.AreasCloseTo(p), want) << "at d=" << d;
     ASSERT_EQ(tiered.AreasCloseTo(p), want) << "at d=" << d;
   }
-  // Sanity: the near-threshold point is genuinely close (the configuration
-  // the old margin missed).
+  // Sanity: the near-threshold point is genuinely close, so the walk above
+  // crosses the threshold rather than staying on one side of it.
   const GeoPoint near =
       DestinationPoint(GeoPoint{12.0, 84.5}, 270.0, 500.0 + 900.0);
-  EXPECT_EQ(grid.AreasCloseTo(near), (std::vector<int32_t>{42}));
+  EXPECT_EQ(brute.AreasCloseTo(near), (std::vector<int32_t>{42}));
+  EXPECT_EQ(tiered.AreasCloseTo(near), (std::vector<int32_t>{42}));
 }
 
 TEST(KnowledgeBaseEngineTest, RestrictedPropagatesEngineChoice) {
@@ -403,10 +385,10 @@ TEST(KnowledgeBaseEngineTest, RestrictedPropagatesEngineChoice) {
   Rng rng(0x9e57);
   const std::vector<AreaInfo> areas = RandomAreas(rng, region, 20);
   for (const SpatialEngine engine :
-       {SpatialEngine::kBrute, SpatialEngine::kGrid, SpatialEngine::kTiered}) {
+       {SpatialEngine::kBrute, SpatialEngine::kTiered}) {
     const KnowledgeBase kb = MakeKb(engine, 1000.0, areas);
     const KnowledgeBase sub = kb.Restricted({1, 2, 3, 4, 5});
-    EXPECT_EQ(sub.spatial_options().engine, engine);
+    EXPECT_EQ(sub.spatial_engine(), engine);
     EXPECT_EQ(sub.areas().size(), 5u);
     for (int i = 0; i < 50; ++i) {
       const GeoPoint p{rng.NextDouble(region.min_lon, region.max_lon),

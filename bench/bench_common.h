@@ -30,6 +30,23 @@ inline double NowSeconds() {
       .count();
 }
 
+/// The p-quantile (0 <= p <= 1) of non-empty `samples`, interpolated
+/// linearly between order statistics.
+inline double Quantile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  const double pos = p * static_cast<double>(samples.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, samples.size() - 1);
+  return samples[lo] + (pos - static_cast<double>(lo)) *
+                           (samples[hi] - samples[lo]);
+}
+
+/// Interquartile range of non-empty `samples`: the spread that repeated
+/// runs report next to their median.
+inline double Iqr(const std::vector<double>& samples) {
+  return Quantile(samples, 0.75) - Quantile(samples, 0.25);
+}
+
 struct BenchStream {
   sim::World world;
   std::vector<stream::PositionTuple> tuples;

@@ -275,87 +275,108 @@ inline std::vector<SkewRow> RunSkewedFleet(bool spatial_facts,
   return rows;
 }
 
-/// One end-to-end pipelined run: the whole surveillance pipeline (tracking
-/// -> staging -> recognition -> no archival) over the raw position stream,
-/// on a private pool of `processors` workers, optionally pinned to cores.
+/// One end-to-end pipelined configuration: the whole surveillance pipeline
+/// (tracking -> staging -> recognition -> no archival) over the raw position
+/// stream on a private pool of `processors` workers, run kPipelineRuns times.
+/// Times are medians over the runs.
 struct PipelineRow {
   int processors = 1;      ///< Pool workers (the caller thread is extra).
-  bool affinity = false;   ///< Workers pinned to cores (Linux only).
-  int pinned = 0;          ///< Workers actually pinned.
   int depth = 1;           ///< PipelineConfig::pipeline_depth.
-  double seconds = 0.0;    ///< End-to-end wall time for the full replay.
+  int runs = 0;            ///< Repetitions behind the medians.
+  double seconds = 0.0;    ///< Median end-to-end wall time of a replay.
+  double seconds_iqr = 0.0;  ///< Interquartile range of the wall times.
   size_t slides = 0;
   size_t tuples = 0;
-  double tracking_seconds = 0.0;     ///< Sum of per-slide tracking time.
-  double recognition_seconds = 0.0;  ///< Sum of per-slide recognition time.
-  uint64_t steals = 0;               ///< Cross-worker task steals.
-  double speedup_vs_serial = 0.0;    ///< vs {1 worker, no pin, depth 1}.
+  double tracking_seconds = 0.0;     ///< Median sum of per-slide tracking.
+  double recognition_seconds = 0.0;  ///< Median sum of per-slide recognition.
+  uint64_t steals = 0;               ///< Cross-worker steals, all runs.
+  double speedup_vs_serial = 0.0;    ///< vs {1 worker, depth 1} medians.
 };
+
+inline constexpr int kPipelineRuns = 3;
 
 /// End-to-end pipelined execution over the fig-11 workload's raw position
 /// stream (ω=6h, β=1h, 2 partitions, incremental recognition): sweeps
-/// pipeline depth x pool size x core affinity. Depth 1 is strict serial
-/// slide execution; depth d >= 2 overlaps slide k's recognition with slide
-/// k+1's tracking on the pool's tracker lane. Output is bit-identical at
-/// every point of the sweep (asserted by pipeline_pipelined_test); only the
-/// wall clock moves.
+/// pipeline depth x pool size. Depth 1 is strict serial slide execution;
+/// depth d >= 2 overlaps slide k's recognition with slide k+1's tracking on
+/// the pool. Every configuration runs kPipelineRuns times, each round in a
+/// rotated configuration order so no configuration always runs first (cold)
+/// or right after the same neighbour. Output is bit-identical at every point
+/// of the sweep (asserted by pipeline_pipelined_test); only the wall clock
+/// moves.
 inline std::vector<PipelineRow> RunPipelineSweep(const Fig11Workload& w,
                                                  bool spatial_facts) {
   std::vector<PipelineRow> rows;
-  double serial_seconds = 0.0;
-  std::printf("end-to-end pipelined execution (raw stream -> tracking -> "
-              "recognition), omega=6h beta=1h:\n");
-  std::printf("  %-11s %-9s %-7s %-12s %-11s %-11s %-8s %-8s\n", "processors",
-              "affinity", "depth", "wall time", "tracking", "recognition",
-              "steals", "speedup");
   for (const int processors : {1, 2, 4}) {
-    for (const bool affinity : {false, true}) {
-      for (const int depth : {1, 2, 3}) {
-        common::ThreadPool pool(processors, affinity);
-        surveillance::PipelineConfig cfg;
-        cfg.window = stream::WindowSpec{6 * kHour, kHour};
-        cfg.ce.use_spatial_facts = spatial_facts;
-        cfg.ce.enable_adrift = false;
-        cfg.partitions = 2;
-        cfg.tracker_shards = processors;
-        cfg.archive = false;  // online path only; archival is fig10's axis
-        cfg.incremental_recognition = true;
-        cfg.pipeline_depth = depth;
-        cfg.pool = &pool;
-
-        PipelineRow row;
-        row.processors = processors;
-        row.affinity = affinity;
-        row.pinned = pool.pinned_count();
-        row.depth = depth;
-        row.tuples = w.data.tuples.size();
-        stream::StreamReplayer replayer(w.data.tuples);
-        surveillance::SurveillancePipeline pipeline(&w.data.world.knowledge,
-                                                    cfg);
-        const double t0 = NowSeconds();
-        pipeline.Run(replayer, [&](const surveillance::SlideReport& r) {
-          ++row.slides;
-          row.tracking_seconds += r.tracking_seconds;
-          row.recognition_seconds += r.recognition_seconds;
-        });
-        row.seconds = NowSeconds() - t0;
-        row.steals = pool.steal_count();
-        if (processors == 1 && !affinity && depth == 1) {
-          serial_seconds = row.seconds;
-        }
-        if (serial_seconds > 0.0 && row.seconds > 0.0) {
-          row.speedup_vs_serial = serial_seconds / row.seconds;
-        }
-        std::printf("  %-11d %-9s %-7d %9.1f ms %8.1f ms %8.1f ms %-8llu "
-                    "%6.2fx\n",
-                    row.processors, row.affinity ? "on" : "off", row.depth,
-                    row.seconds * 1e3, row.tracking_seconds * 1e3,
-                    row.recognition_seconds * 1e3,
-                    static_cast<unsigned long long>(row.steals),
-                    row.speedup_vs_serial);
-        rows.push_back(row);
-      }
+    for (const int depth : {1, 2, 3}) {
+      PipelineRow row;
+      row.processors = processors;
+      row.depth = depth;
+      row.tuples = w.data.tuples.size();
+      rows.push_back(row);
     }
+  }
+  const size_t n = rows.size();
+  std::vector<std::vector<double>> wall(n), tracking(n), recognition(n);
+  for (int round = 0; round < kPipelineRuns; ++round) {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t c =
+          (k + static_cast<size_t>(round) * n / kPipelineRuns) % n;
+      PipelineRow& row = rows[c];
+      common::ThreadPool pool(row.processors);
+      surveillance::PipelineConfig cfg;
+      cfg.window = stream::WindowSpec{6 * kHour, kHour};
+      cfg.ce.use_spatial_facts = spatial_facts;
+      cfg.ce.enable_adrift = false;
+      cfg.partitions = 2;
+      cfg.tracker_shards = row.processors;
+      cfg.archive = false;  // online path only; archival is fig10's axis
+      cfg.incremental_recognition = true;
+      cfg.pipeline_depth = row.depth;
+      cfg.pool = &pool;
+
+      stream::StreamReplayer replayer(w.data.tuples);
+      surveillance::SurveillancePipeline pipeline(&w.data.world.knowledge,
+                                                  cfg);
+      size_t slides = 0;
+      double track = 0.0, recog = 0.0;
+      const double t0 = NowSeconds();
+      pipeline.Run(replayer, [&](const surveillance::SlideReport& r) {
+        ++slides;
+        track += r.tracking_seconds;
+        recog += r.recognition_seconds;
+      });
+      wall[c].push_back(NowSeconds() - t0);
+      tracking[c].push_back(track);
+      recognition[c].push_back(recog);
+      row.slides = slides;
+      row.steals += pool.steal_count();
+      ++row.runs;
+    }
+  }
+
+  std::printf("end-to-end pipelined execution (raw stream -> tracking -> "
+              "recognition), omega=6h beta=1h, median of %d runs:\n",
+              kPipelineRuns);
+  std::printf("  %-11s %-7s %-12s %-10s %-11s %-11s %-8s %-8s\n",
+              "processors", "depth", "wall time", "wall IQR", "tracking",
+              "recognition", "steals", "speedup");
+  for (size_t c = 0; c < n; ++c) {
+    PipelineRow& row = rows[c];
+    row.seconds = Quantile(wall[c], 0.5);
+    row.seconds_iqr = Iqr(wall[c]);
+    row.tracking_seconds = Quantile(tracking[c], 0.5);
+    row.recognition_seconds = Quantile(recognition[c], 0.5);
+    if (row.seconds > 0.0) {
+      row.speedup_vs_serial = rows.front().seconds / row.seconds;
+    }
+    std::printf("  %-11d %-7d %9.1f ms %7.1f ms %8.1f ms %8.1f ms %-8llu "
+                "%6.2fx\n",
+                row.processors, row.depth, row.seconds * 1e3,
+                row.seconds_iqr * 1e3, row.tracking_seconds * 1e3,
+                row.recognition_seconds * 1e3,
+                static_cast<unsigned long long>(row.steals),
+                row.speedup_vs_serial);
   }
   std::printf("\n");
   return rows;
@@ -414,13 +435,13 @@ inline void WriteFig11Json(const std::string& path, const char* bench_name,
     const PipelineRow& r = pipeline_rows[i];
     std::fprintf(
         f,
-        "    {\"processors\": %d, \"affinity\": %s, \"pinned\": %d, "
-        "\"pipeline_depth\": %d, \"wall_seconds\": %.4f, \"slides\": %zu, "
-        "\"tuples\": %zu, \"tracking_seconds\": %.4f, "
+        "    {\"processors\": %d, \"pipeline_depth\": %d, \"runs\": %d, "
+        "\"wall_seconds\": %.4f, \"wall_seconds_iqr\": %.4f, "
+        "\"slides\": %zu, \"tuples\": %zu, \"tracking_seconds\": %.4f, "
         "\"recognition_seconds\": %.4f, \"steals\": %llu, "
         "\"speedup_vs_serial\": %.3f}%s\n",
-        r.processors, r.affinity ? "true" : "false", r.pinned, r.depth,
-        r.seconds, r.slides, r.tuples, r.tracking_seconds,
+        r.processors, r.depth, r.runs, r.seconds, r.seconds_iqr, r.slides,
+        r.tuples, r.tracking_seconds,
         r.recognition_seconds, static_cast<unsigned long long>(r.steals),
         r.speedup_vs_serial, i + 1 < pipeline_rows.size() ? "," : "");
   }
@@ -492,7 +513,7 @@ inline void RunFig11(bool spatial_facts, const Fig11Options& opts = {}) {
     }
     std::printf("\n");
     // The pipelined end-to-end sweep only at the base scale: its axis is
-    // execution structure (depth x pool x affinity), not input volume.
+    // execution structure (depth x pool), not input volume.
     if (opts.pipeline_sweep && scale == opts.fleet_scales.front()) {
       pipeline_rows = RunPipelineSweep(w, spatial_facts);
     }

@@ -382,7 +382,7 @@ BENCHMARK(BM_SkewedFleetRecognition)
 /// fig-11a raw position stream on a private work-stealing pool.
 /// Args: {pipeline_depth, pool workers}. Depth 1 = strict serial slide
 /// execution; depth d >= 2 overlaps slide k's recognition with slide k+1's
-/// tracking on the pool's tracker lane. Output is bit-identical across the
+/// tracking on the pool. Output is bit-identical across the
 /// whole axis (pipeline_pipelined_test); this measures only the wall clock.
 void BM_PipelinedSlideExecution(benchmark::State& state) {
   static const bench::Fig11Workload* workload = [] {
@@ -411,7 +411,6 @@ void BM_PipelinedSlideExecution(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(slides));
   state.counters["steals"] = static_cast<double>(pool.steal_count());
-  state.counters["pinned"] = static_cast<double>(pool.pinned_count());
 }
 BENCHMARK(BM_PipelinedSlideExecution)
     ->Args({1, 1})

@@ -10,11 +10,17 @@
 // plus the batched AreasCloseToAll lookup and PortContaining across
 // engines. Both engines return identical results (asserted in
 // tests/spatial_index_test.cc); only speed differs.
+//
+// Single runs carry the host's noise; regenerate BENCH_spatial.json with
+//   micro_spatial --benchmark_repetitions=5
+//     --benchmark_report_aggregates_only=true
+// so every row reports mean, median, stddev, cv and iqr over 5 repetitions.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "geo/spatial_index.h"
 #include "maritime/knowledge.h"
@@ -91,7 +97,8 @@ void BM_AreasCloseTo(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::string(SpatialEngineName(kb.spatial_engine())));
 }
-BENCHMARK(BM_AreasCloseTo)->ArgsProduct({{0, 1}, {35, 140, 560, 2240}});
+BENCHMARK(BM_AreasCloseTo)->ArgsProduct({{0, 1}, {35, 140, 560, 2240}})
+    ->ComputeStatistics("iqr", bench::Iqr);
 
 // --- tiered cell-size axis --------------------------------------------------
 
@@ -112,7 +119,8 @@ void BM_AreasCloseTo_TieredCellDeg(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AreasCloseTo_TieredCellDeg)->Arg(5)->Arg(10)->Arg(20)->Arg(50)
-    ->Arg(100);
+    ->Arg(100)
+    ->ComputeStatistics("iqr", bench::Iqr);
 
 // --- batched lookup (vessel-track access pattern) ---------------------------
 
@@ -127,7 +135,8 @@ void BM_AreasCloseToAll(benchmark::State& state) {
                           static_cast<int64_t>(points.size()));
   state.SetLabel(std::string(SpatialEngineName(kb.spatial_engine())));
 }
-BENCHMARK(BM_AreasCloseToAll)->ArgsProduct({{0, 1}, {35, 560}});
+BENCHMARK(BM_AreasCloseToAll)->ArgsProduct({{0, 1}, {35, 560}})
+    ->ComputeStatistics("iqr", bench::Iqr);
 
 // --- PortContaining across engines ------------------------------------------
 
@@ -143,7 +152,8 @@ void BM_PortContaining(benchmark::State& state) {
   }
   state.SetLabel(std::string(SpatialEngineName(kb.spatial_engine())));
 }
-BENCHMARK(BM_PortContaining)->Arg(0)->Arg(1);
+BENCHMARK(BM_PortContaining)->Arg(0)->Arg(1)
+    ->ComputeStatistics("iqr", bench::Iqr);
 
 }  // namespace
 }  // namespace maritime::surveillance

@@ -54,12 +54,12 @@ SlideReport SurveillancePipeline::RunSlide(
 
 void SurveillancePipeline::RunStaging(StagedSlide* slide) {
   // --- online tracking: fresh positions -> trajectory events ---------------
-  // Sharded by MMSI; tuples are routed into per-shard lock-free ring
-  // inboxes, then each shard tracks, gap-detects, and compresses its
-  // vessels concurrently (tracker lane) and the outputs merge in stream
-  // order. The spatial facts each critical point will feed the recognizer
-  // are precomputed here too: AreasCloseToAll is pure and exact, so moving
-  // it off the commit path changes no output.
+  // Sharded by MMSI; tuples are scattered into per-shard inboxes, then
+  // each shard tracks, gap-detects, and compresses its vessels concurrently
+  // and the outputs merge in stream order. The spatial facts each critical
+  // point will feed the recognizer are precomputed here too:
+  // AreasCloseToAll is pure and exact, so moving it off the commit path
+  // changes no output.
   const double t0 = NowSeconds();
   slide->criticals = tracker_.ProcessSlide(
       std::span<const stream::PositionTuple>(slide->batch), slide->q,
@@ -87,13 +87,13 @@ void SurveillancePipeline::StageSlide(
   slide->q = q;
   slide->batch.assign(batch.begin(), batch.end());
   StagedSlide* raw = slide.get();
-  // The tracker is stateful and its ring inboxes are single-producer, so
-  // staging tasks never overlap each other — only the commit phase of
-  // *earlier* slides, which touches the recognizer and archiver instead.
+  // The tracker is stateful, so staging tasks never overlap each other —
+  // only the commit phase of *earlier* slides, which touches the recognizer
+  // and archiver instead.
   if (!staged_.empty()) WaitStaged(staged_.back().get());
   staged_.push_back(std::move(slide));
   if (config_.pipeline_depth > 1 && pool_->worker_count() > 0) {
-    pool_->Submit(common::Lane::kTracker, [this, raw] { RunStaging(raw); });
+    pool_->Submit([this, raw] { RunStaging(raw); });
   } else {
     RunStaging(raw);
   }

@@ -47,20 +47,21 @@ struct PipelineConfig {
   /// kAuto picks per window shape and observed dirty fraction). Passed
   /// through to RecognizerConfig::engine.
   EngineMode recognition_engine = EngineMode::kFromFlag;
-  /// Fan the keys of one definition layer out over the shared thread pool
-  /// (incremental engine only).
+  /// Fan the keys of one definition layer out over the pipeline's thread
+  /// pool (`pool`; incremental engine only).
   bool parallel_recognition_keys = false;
   /// Phase-pipelined slide execution: with depth d >= 2, up to d - 1 slides
   /// are staged ahead — their tracker shards run and their spatial facts
-  /// precompute on the pool's tracker lane while the caller recognizes an
-  /// earlier slide. Depth 1 is strict serial execution. Output (reports,
-  /// CEs, snapshots) is bit-identical at any depth: every shared-state
-  /// mutation happens at the commit barrier, in slide order, on the caller.
+  /// precompute on the pool while the caller recognizes an earlier slide.
+  /// Depth 1 is strict serial execution. Output (reports, CEs, snapshots)
+  /// is bit-identical at any depth: every shared-state mutation happens at
+  /// the commit barrier, in slide order, on the caller.
   int pipeline_depth = 1;
-  /// Thread pool for tracker shards, partition recognition, and staged
-  /// slides. nullptr (default) uses the process-wide shared pool; benches
-  /// inject local pools to sweep worker counts and core pinning in one
-  /// process. Must outlive the pipeline.
+  /// Thread pool for tracker shards, partition recognition, parallel key
+  /// evaluation and staged slides: every parallel stage of the pipeline runs
+  /// on this one pool. nullptr (default) uses the process-wide shared pool;
+  /// benches inject local pools to sweep worker counts in one process. Must
+  /// outlive the pipeline.
   common::ThreadPool* pool = nullptr;
 };
 
@@ -127,8 +128,8 @@ class SurveillancePipeline {
 
   // --- pipelined execution -------------------------------------------------
   /// Stages the slide ending at `q`: copies the batch and runs tracking plus
-  /// spatial-fact staging asynchronously on the pool's tracker lane (inline
-  /// when pipeline_depth <= 1 or the pool has no workers). Staging is
+  /// spatial-fact staging asynchronously on the pool (inline when
+  /// pipeline_depth <= 1 or the pool has no workers). Staging is
   /// strictly sequential across slides — the tracker is stateful — so this
   /// waits for the previous staged slide's tracking before dispatching.
   /// Call CommitNextSlide() to turn the oldest staged slide into a report.

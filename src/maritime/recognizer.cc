@@ -7,7 +7,8 @@
 
 namespace maritime::surveillance {
 
-CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config)
+CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config,
+                           common::ThreadPool* pool)
     : kb_(kb), config_(config) {
   assert(kb_ != nullptr);
   switch (config_.engine) {
@@ -28,7 +29,9 @@ CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config)
   rtec::EngineOptions opts;
   opts.incremental = config_.incremental;
   opts.adaptive_full_regen = config_.engine == EngineMode::kAuto;
-  opts.pool = config_.parallel_keys ? &common::ThreadPool::Shared() : nullptr;
+  if (config_.parallel_keys) {
+    opts.pool = pool != nullptr ? pool : &common::ThreadPool::Shared();
+  }
   opts.min_parallel_keys = config_.min_parallel_keys;
   opts.scoped_dirty = config_.scoped_dirty;
   engine_ = std::make_unique<rtec::Engine>(config_.window, kb_, opts);
@@ -152,7 +155,7 @@ PartitionedRecognizer::PartitionedRecognizer(const KnowledgeBase& kb,
     Partition part;
     part.min_lon = p == 0 || lo >= n ? -180.0 : by_lon[lo].first;
     part.kb = std::make_unique<KnowledgeBase>(kb.Restricted(ids));
-    part.rec = std::make_unique<CERecognizer>(part.kb.get(), config);
+    part.rec = std::make_unique<CERecognizer>(part.kb.get(), config, pool_);
     parts_.push_back(std::move(part));
   }
 }
@@ -218,11 +221,9 @@ void PartitionedRecognizer::Feed(StagedFeed&& staged) {
 std::vector<rtec::RecognitionResult> PartitionedRecognizer::Recognize(
     Timestamp q) {
   std::vector<rtec::RecognitionResult> results(parts_.size());
-  // One task per partition on the long-lived shared pool; spawning fresh
+  // One task per partition on the long-lived pool; spawning fresh
   // std::threads every slide used to dominate recognition at small slides.
-  // Recognizer lane: see Engine::ForEachKey.
-  pool_->ParallelFor(common::Lane::kRecognizer, parts_.size(),
-                     [this, q, &results](size_t i) {
+  pool_->ParallelFor(parts_.size(), [this, q, &results](size_t i) {
     results[i] = parts_[i].rec->Recognize(q);
     std::lock_guard<std::mutex> lock(totals_mu_);
     totals_.recognized_items += results[i].RecognizedCount();

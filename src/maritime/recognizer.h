@@ -47,8 +47,10 @@ struct RecognizerConfig {
   /// choice is resolved deterministically at construction (it depends only
   /// on this config), so snapshot save/restore pairs agree on the mode.
   EngineMode engine = EngineMode::kFromFlag;
-  /// Evaluate the keys of one definition layer in parallel on the shared
-  /// thread pool (incremental engine only; merge order is deterministic).
+  /// Evaluate the keys of one definition layer in parallel on the
+  /// recognizer's thread pool — the one passed to the CERecognizer or
+  /// PartitionedRecognizer constructor, else the process-wide shared pool
+  /// (incremental engine only; merge order is deterministic).
   bool parallel_keys = false;
   /// Layers smaller than this stay serial when parallel_keys is set.
   size_t min_parallel_keys = 8;
@@ -65,8 +67,11 @@ struct RecognizerConfig {
 /// Figure 11(b) mode), and recognizes CEs at each query time.
 class CERecognizer {
  public:
-  /// `kb` must outlive the recognizer.
-  CERecognizer(const KnowledgeBase* kb, RecognizerConfig config);
+  /// `kb` must outlive the recognizer. `pool` runs the parallel key
+  /// evaluation of `config.parallel_keys` (nullptr = the process-wide shared
+  /// pool; unused otherwise) and must outlive the recognizer.
+  CERecognizer(const KnowledgeBase* kb, RecognizerConfig config,
+               common::ThreadPool* pool = nullptr);
 
   CERecognizer(const CERecognizer&) = delete;
   CERecognizer& operator=(const CERecognizer&) = delete;
@@ -139,8 +144,9 @@ class CERecognizer {
 class PartitionedRecognizer {
  public:
   /// Splits `kb`'s areas into `partitions` longitude bands of roughly equal
-  /// area count. `partitions` >= 1. `pool` defaults to the process-wide
-  /// shared pool and must outlive the recognizer.
+  /// area count. `partitions` >= 1. `pool` runs the partitions and, with
+  /// `config.parallel_keys`, each partition's key evaluation; it defaults to
+  /// the process-wide shared pool and must outlive the recognizer.
   PartitionedRecognizer(const KnowledgeBase& kb, RecognizerConfig config,
                         int partitions, common::ThreadPool* pool = nullptr);
 

@@ -173,7 +173,7 @@ Engine::Engine(stream::WindowSpec window, const void* user_data,
     : window_(window), user_data_(user_data), options_(options) {
   assert(window_.Validate().ok());
   // One slide arena per evaluation slot: the Recognize caller plus one per
-  // pool lane (ThreadPool's slot-indexed ParallelFor guarantees a slot is
+  // pool worker (ThreadPool's slot-indexed ParallelFor guarantees a slot is
   // never bumped concurrently).
   const size_t slots =
       1 + (options_.pool != nullptr
@@ -392,10 +392,7 @@ void Engine::ForEachKey(
   common::ThreadPool* pool = options_.pool;
   if (pool != nullptr && pool->worker_count() > 0 &&
       n >= options_.min_parallel_keys) {
-    // Recognizer lane: eval slots prefer the workers (and, when pinned, the
-    // cores) the tracker lane is not using, so a pipelined slide's tracking
-    // and recognition phases do not thrash each other's caches.
-    pool->ParallelFor(common::Lane::kRecognizer, n,
+    pool->ParallelFor(n,
                       [&](size_t i, size_t slot) { body(i, &arenas_[slot]); });
   } else {
     for (size_t i = 0; i < n; ++i) body(i, &arenas_[0]);

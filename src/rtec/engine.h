@@ -695,7 +695,7 @@ class Engine {
 
   /// Runs `body(i, arena)` for i in [0, n), on the configured pool when the
   /// layer is large enough, serially otherwise. `arena` is the slide-scoped
-  /// arena of the executing slot (one per pool lane plus the caller), so
+  /// arena of the executing slot (one per pool worker plus the caller), so
   /// bodies may allocate scratch without synchronization.
   void ForEachKey(size_t n,
                   const std::function<void(size_t, common::Arena*)>& body)
@@ -833,7 +833,7 @@ class Engine {
   size_t prev_event_rows_ = 0;
 
   /// Slide-scoped arenas, one per evaluation slot (slot 0 = the Recognize
-  /// caller, slot k+1 = pool lane k). All per-slide scratch — rule output
+  /// caller, slot k+1 = helper task k). All per-slide scratch — rule output
   /// points, episode buffers, flat timelines under construction, outcome
   /// rows — bumps these; Recognize() harvests stats and resets them before
   /// returning. Committed state never references arena memory (copy-out at

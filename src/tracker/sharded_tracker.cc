@@ -48,52 +48,37 @@ ShardedMobilityTracker::ShardedMobilityTracker(TrackerParams params,
 std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
     std::span<const stream::PositionTuple> batch, Timestamp query_time,
     std::vector<ShardSlideStats>* per_shard) {
-  for (const auto& tuple : batch) Ingest(tuple);
-  return ProcessSlide(query_time, per_shard);
-}
-
-std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
-    Timestamp query_time, std::vector<ShardSlideStats>* per_shard) {
   const size_t n = shards_.size();
   if (per_shard != nullptr) {
     per_shard->assign(n, ShardSlideStats{});
   }
+  if (n > 1) {
+    // One serial scatter pass; each inbox keeps batch order for its vessels.
+    for (Shard& s : shards_) s.inbox.clear();
+    for (const auto& tuple : batch) {
+      shards_[ShardOf(tuple.mmsi)].inbox.push_back(tuple);
+    }
+  }
   const auto run_shard = [&](size_t i) {
     Shard& s = shards_[i];
+    const std::span<const stream::PositionTuple> in =
+        n == 1 ? batch : std::span<const stream::PositionTuple>(s.inbox);
     const double t0 = NowSeconds();
-    // Drain this shard's ring inbox on the shard's own task: the scatter
-    // happens ring-by-ring in parallel instead of serially on the caller.
-    s.ring->DrainInto(&s.inbox);
     s.raw.clear();
-    for (const auto& tuple : s.inbox) s.tracker.Process(tuple, &s.raw);
+    for (const auto& tuple : in) s.tracker.Process(tuple, &s.raw);
     s.tracker.AdvanceTo(query_time, &s.raw);
-    s.slide_out = s.compressor.CompressInPlace(&s.raw, s.inbox.size());
-    const double seconds = NowSeconds() - t0;
+    s.slide_out = s.compressor.CompressInPlace(&s.raw, in.size());
     if (per_shard != nullptr) {
       ShardSlideStats& st = (*per_shard)[i];
-      st.seconds = seconds;
-      st.tuples = s.inbox.size();
+      st.seconds = NowSeconds() - t0;
+      st.tuples = in.size();
       st.critical_points = s.slide_out.size();
     }
-    {
-      std::lock_guard<std::mutex> lock(totals_mu_);
-      totals_.busy_seconds += seconds;
-      totals_.tuples += s.inbox.size();
-      totals_.critical_points += s.slide_out.size();
-    }
-    s.inbox.clear();
   };
   if (pool_ != nullptr && n > 1) {
-    // Tracker lane: shard tasks prefer the lane's workers (and, when the
-    // pool is pinned, the lane's cores), keeping per-shard vessel state
-    // resident while the recognizer lane runs a different slide's phase.
-    pool_->ParallelFor(common::Lane::kTracker, n, run_shard);
+    pool_->ParallelFor(n, run_shard);
   } else {
     for (size_t i = 0; i < n; ++i) run_shard(i);
-  }
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    ++totals_.slides;
   }
 
   // Merge barrier: per-shard outputs are already in stream order; a single
@@ -115,33 +100,9 @@ std::vector<CriticalPoint> ShardedMobilityTracker::ProcessSlide(
   return merged;
 }
 
-SlideTotals ShardedMobilityTracker::slide_totals() const {
-  std::lock_guard<std::mutex> lock(totals_mu_);
-  return totals_;
-}
-
-void ShardedMobilityTracker::Process(const stream::PositionTuple& tuple,
-                                     std::vector<CriticalPoint>* out) {
-  shards_[ShardOf(tuple.mmsi)].tracker.Process(tuple, out);
-}
-
-void ShardedMobilityTracker::AdvanceTo(Timestamp now,
-                                       std::vector<CriticalPoint>* out) {
-  for (Shard& s : shards_) s.tracker.AdvanceTo(now, out);
-}
-
 void ShardedMobilityTracker::Finish(std::vector<CriticalPoint>* out) {
   std::vector<CriticalPoint> tail;
-  for (Shard& s : shards_) {
-    // Tuples ingested after the last slide still count: process them before
-    // flushing so end-of-stream never silently drops ring contents.
-    s.inbox.clear();
-    if (s.ring->DrainInto(&s.inbox) > 0) {
-      for (const auto& tuple : s.inbox) s.tracker.Process(tuple, &tail);
-      s.inbox.clear();
-    }
-    s.tracker.Finish(&tail);
-  }
+  for (Shard& s : shards_) s.tracker.Finish(&tail);
   // A vessel's closing points (stop end, last anchor) share its final tau;
   // stable_sort keeps their per-vessel emission order while making the
   // cross-vessel order independent of shard count and map iteration.

@@ -3,7 +3,6 @@
 // translation units; the wire layout notes live in DESIGN.md §9.
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "tracker/compressor.h"
@@ -15,7 +14,9 @@ namespace {
 
 constexpr uint8_t kTrackerFormatVersion = 1;
 constexpr uint8_t kCompressorFormatVersion = 1;
-constexpr uint8_t kShardedFormatVersion = 1;
+/// v2 dropped v1's 32-byte tail of lifetime slide totals (slides,
+/// busy_seconds, tuples, critical_points) that nothing read.
+constexpr uint8_t kShardedFormatVersion = 2;
 
 }  // namespace
 
@@ -109,15 +110,6 @@ void ShardedMobilityTracker::SaveTo(snapshot::Writer& w) const {
     s.tracker.SaveTo(w);
     s.compressor.SaveTo(w);
   }
-  SlideTotals totals;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals = totals_;
-  }
-  w.U64(totals.slides);
-  w.F64(totals.busy_seconds);
-  w.U64(totals.tuples);
-  w.U64(totals.critical_points);
 }
 
 Status ShardedMobilityTracker::RestoreFrom(snapshot::Reader& r) {
@@ -138,14 +130,13 @@ Status ShardedMobilityTracker::RestoreFrom(snapshot::Reader& r) {
     s.inbox.clear();
     s.slide_out.clear();
   }
-  SlideTotals totals;
-  if (!r.U64(&totals.slides) || !r.F64(&totals.busy_seconds) ||
-      !r.U64(&totals.tuples) || !r.U64(&totals.critical_points)) {
-    return snapshot::CorruptionIn("sharded tracker");
-  }
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals_ = totals;
+  if (version == 1) {
+    uint64_t slides = 0, tuples = 0, critical_points = 0;
+    double busy_seconds = 0.0;
+    if (!r.U64(&slides) || !r.F64(&busy_seconds) || !r.U64(&tuples) ||
+        !r.U64(&critical_points)) {
+      return snapshot::CorruptionIn("sharded tracker");
+    }
   }
   return Status::OK();
 }

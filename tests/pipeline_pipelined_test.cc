@@ -1,8 +1,8 @@
 // The tentpole guarantee of pipelined slide execution: at any pipeline depth
-// (slides staged ahead on the pool's tracker lane while the caller
-// recognizes earlier slides) the pipeline produces bit-identical
-// SlideReports and CE output to strict serial execution — including across
-// a SaveSnapshot/Resume cut taken at a commit barrier mid-run.
+// (slides staged ahead on the pool while the caller recognizes earlier
+// slides) the pipeline produces bit-identical SlideReports and CE output to
+// strict serial execution — including across a SaveSnapshot/Resume cut taken
+// at a commit barrier mid-run.
 #include <gtest/gtest.h>
 
 #include <cstddef>

@@ -139,6 +139,36 @@ TEST(PipelineTest, TwoPartitionsBehaveLikeOne) {
               std::max<double>(5.0, 0.25 * static_cast<double>(ces1)));
 }
 
+TEST(PipelineTest, ParallelKeysRunOnTheInjectedPool) {
+  // Every parallel stage, key evaluation included, must use the pool the
+  // pipeline was given, not a second process-wide one.
+  sim::World world = sim::BuildWorld(24, SmallWorldParams());
+  common::ThreadPool pool(2);
+  PipelineConfig cfg = SmallPipelineConfig();
+  cfg.archive = false;
+  cfg.partitions = 2;
+  cfg.recognition_engine = EngineMode::kIncremental;
+  cfg.parallel_recognition_keys = true;
+  cfg.pool = &pool;
+  SurveillancePipeline pipeline(&world.knowledge, cfg);
+  for (int p = 0; p < pipeline.recognizer().partition_count(); ++p) {
+    EXPECT_EQ(pipeline.recognizer().partition(p).engine().options().pool,
+              &pool)
+        << "partition " << p;
+  }
+
+  cfg.parallel_recognition_keys = false;
+  SurveillancePipeline serial_keys(&world.knowledge, cfg);
+  EXPECT_EQ(serial_keys.recognizer().partition(0).engine().options().pool,
+            nullptr);
+
+  RecognizerConfig rc;
+  rc.engine = EngineMode::kIncremental;
+  rc.parallel_keys = true;
+  const CERecognizer shared(&world.knowledge, rc);
+  EXPECT_EQ(shared.engine().options().pool, &common::ThreadPool::Shared());
+}
+
 TEST(PipelineTest, EndOfStreamEventsAreRecognizedAtFinish) {
   // Regression: a vessel that is still stopped in open water when the
   // stream ends. The stop-end critical point is only emitted by the

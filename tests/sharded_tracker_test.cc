@@ -12,6 +12,7 @@
 #include "maritime/pipeline.h"
 #include "sim/generator.h"
 #include "sim/world.h"
+#include "snapshot/codec.h"
 #include "stream/replayer.h"
 #include "stream/sliding_window.h"
 #include "tracker/compressor.h"
@@ -141,16 +142,23 @@ TEST(ShardedTrackerTest, ShardCountsProduceIdenticalCriticalPoints) {
 }
 
 TEST(ShardedTrackerTest, SerialSurfaceRoutesByMmsi) {
+  // A zero-worker pool runs every shard of ProcessSlide serially on the
+  // caller; each vessel must still land in exactly the shard ShardOf names.
   common::ThreadPool pool(0);
   ShardedMobilityTracker tracker(TrackerParams(), 4, &pool);
-  std::vector<CriticalPoint> out;
+  std::vector<stream::PositionTuple> batch;
   for (stream::Mmsi m = 1; m <= 8; ++m) {
-    tracker.Process({m, geo::GeoPoint{24.0, 37.0}, 100}, &out);
+    batch.push_back({m, geo::GeoPoint{24.0, 37.0}, 100});
   }
+  const auto out = tracker.ProcessSlide(batch, 100);
   EXPECT_EQ(tracker.vessel_count(), 8u);
   EXPECT_EQ(out.size(), 8u);  // one kFirst each
   for (stream::Mmsi m = 1; m <= 8; ++m) {
     EXPECT_NE(tracker.FindVessel(m), nullptr) << "mmsi " << m;
+    EXPECT_EQ(tracker.shard(static_cast<int>(tracker.ShardOf(m)))
+                  .FindVessel(m),
+              tracker.FindVessel(m))
+        << "mmsi " << m;
   }
   EXPECT_EQ(tracker.FindVessel(999), nullptr);
   EXPECT_EQ(tracker.stats().processed, 8u);
@@ -211,6 +219,34 @@ TEST(ShardedTrackerTest, PerShardSlideStatsAccountForTheWholeBatch) {
   EXPECT_EQ(tuples, batch.size());
   EXPECT_EQ(criticals, cps.size());
   EXPECT_EQ(cps.size(), 40u);  // every vessel's kFirst point
+}
+
+TEST(ShardedTrackerTest, SnapshotBytesAreDeterministic) {
+  // Two identical runs must checkpoint to identical bytes: the snapshot
+  // carries tracker state only, nothing measured on the wall clock.
+  sim::World world = sim::BuildWorld(34);
+  const auto tuples = FleetStream(17, 30, 4 * kHour, &world);
+  ASSERT_FALSE(tuples.empty());
+  const auto checkpoint = [&] {
+    common::ThreadPool pool(3);
+    ShardedMobilityTracker tracker(TrackerParams(), 2, &pool);
+    stream::StreamReplayer replayer(tuples);
+    stream::QueryTimeSequence queries(
+        stream::WindowSpec{kHour, 10 * kMinute}, replayer.first_timestamp());
+    const Timestamp last = replayer.last_timestamp();
+    while (true) {
+      const Timestamp q = queries.Fire();
+      tracker.ProcessSlide(replayer.NextBatch(q), q);
+      if (q >= last) break;
+    }
+    snapshot::Writer w;
+    tracker.SaveTo(w);
+    return w.bytes();
+  };
+  const std::string first = checkpoint();
+  const std::string second = checkpoint();
+  EXPECT_FALSE(first.empty());
+  EXPECT_TRUE(first == second) << "snapshot bytes differ between runs";
 }
 
 }  // namespace

@@ -437,6 +437,62 @@ TEST(TrackerSnapshotTest, RestoredTrackerContinuesBitIdentically) {
   EXPECT_EQ(ta.size(), tb.size());
 }
 
+TEST(TrackerSnapshotTest, V1SectionWithTotalsTailStillRestores) {
+  // Format v1 ended with 32 bytes of lifetime slide totals (slides,
+  // busy_seconds, tuples, critical_points); v2 dropped them. Build a v1
+  // image by hand from a v2 one and check it restores and resumes exactly.
+  const tracker::TrackerParams params;
+  tracker::ShardedMobilityTracker a(params, 2);
+  a.ProcessSlide(SyntheticTuples(0, 600), 600);
+  a.ProcessSlide(SyntheticTuples(600, 1200), 1200);
+  snapshot::Writer v2;
+  a.SaveTo(v2);
+  ASSERT_EQ(static_cast<uint8_t>(v2.bytes()[0]), 2);
+
+  std::string v1 = v2.bytes();
+  v1[0] = 1;
+  snapshot::Writer tail;
+  tail.U64(2);       // slides
+  tail.F64(0.0125);  // busy_seconds
+  tail.U64(200);     // tuples
+  tail.U64(17);      // critical_points
+  v1 += tail.bytes();
+
+  tracker::ShardedMobilityTracker b(params, 2);
+  snapshot::Reader r(v1);
+  const Status s = b.RestoreFrom(r);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_TRUE(r.AtEnd());
+
+  const auto batch = SyntheticTuples(1200, 1800);
+  const auto ca = a.ProcessSlide(batch, 1800);
+  const auto cb = b.ProcessSlide(batch, 1800);
+  ASSERT_FALSE(ca.empty());
+  ASSERT_EQ(ca.size(), cb.size());
+  for (size_t i = 0; i < ca.size(); ++i) {
+    EXPECT_EQ(ca[i].mmsi, cb[i].mmsi);
+    EXPECT_EQ(ca[i].tau, cb[i].tau);
+    EXPECT_EQ(ca[i].flags, cb[i].flags);
+    EXPECT_EQ(ca[i].pos.lon, cb[i].pos.lon);
+    EXPECT_EQ(ca[i].pos.lat, cb[i].pos.lat);
+    EXPECT_EQ(ca[i].speed_knots, cb[i].speed_knots);
+    EXPECT_EQ(ca[i].heading_deg, cb[i].heading_deg);
+    EXPECT_EQ(ca[i].duration, cb[i].duration);
+  }
+  // Re-saved state is the v2 image of the same tracker.
+  snapshot::Writer resaved;
+  tracker::ShardedMobilityTracker c(params, 2);
+  snapshot::Reader r2(v1);
+  ASSERT_TRUE(c.RestoreFrom(r2).ok());
+  c.SaveTo(resaved);
+  EXPECT_TRUE(resaved.bytes() == v2.bytes());
+
+  // A v1 image cut inside its totals tail is corrupt, not silently accepted.
+  tracker::ShardedMobilityTracker d(params, 2);
+  snapshot::Reader cut(std::string_view(v1).substr(0, v1.size() - 8));
+  EXPECT_EQ(d.RestoreFrom(cut).code(), StatusCode::kCorruption);
+}
+
 TEST(TrackerSnapshotTest, ShardCountMismatchIsInvalidArgument) {
   const tracker::TrackerParams params;
   tracker::ShardedMobilityTracker a(params, 2);

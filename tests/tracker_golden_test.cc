@@ -97,8 +97,8 @@ RunResult Replay(uint64_t seed, int history, double turn_deg,
     if (slide == cut_at_slide) {
       snapshot::Writer w;
       tracker->SaveTo(w);
-      // The sharded envelope carries wall-clock busy time; digest the
-      // deterministic per-vessel state only.
+      // Digest the per-vessel state only, so the digest does not depend on
+      // the sharded envelope's format version.
       snapshot::Writer state;
       tracker->shard(0).SaveTo(state);
       Fnv snap;

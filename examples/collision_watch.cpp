@@ -76,7 +76,7 @@ int main() {
     // dark vessels are excluded from extrapolation.
     for (const auto& fix : batch) live.Update(fix);
     const auto report = pipeline.RunSlide(q, batch);
-    for (const auto& cp : pipeline.TakeCriticalPoints()) {
+    for (const auto& cp : report.criticals) {
       if (cp.Has(tracker::kGapStart)) live.Update(cp);
     }
     live.EvictSilentSince(q - 2 * kHour);

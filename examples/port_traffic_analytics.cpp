@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <vector>
 
 #include "maritime/pipeline.h"
 #include "mod/analytics.h"
@@ -35,7 +36,13 @@ int main() {
   config.window = stream::WindowSpec{kHour, 15 * kMinute};
   surveillance::SurveillancePipeline pipeline(&world.knowledge, config);
   stream::StreamReplayer replayer(tuples);
-  pipeline.Run(replayer);
+  // The pipeline keeps no log of its output; collect the critical points
+  // for the accuracy evaluation as each slide reports them.
+  std::vector<tracker::CriticalPoint> criticals;
+  pipeline.Run(replayer, [&](const surveillance::SlideReport& report) {
+    criticals.insert(criticals.end(), report.criticals.begin(),
+                     report.criticals.end());
+  });
 
   // --- compression & accuracy ------------------------------------------------
   const auto cstats = pipeline.compression_stats();
@@ -45,7 +52,7 @@ int main() {
               static_cast<unsigned long long>(cstats.critical_points));
   const tracker::ApproximationError err = tracker::EvaluateApproximation(
       sim::WithoutOutliers(tuples, fleet.ground_truth()),
-      pipeline.critical_points());
+      criticals);
   std::printf("approximation RMSE: avg %.1f m, max %.1f m over %zu vessels\n",
               err.avg_rmse_m, err.max_rmse_m, err.vessel_count);
 

@@ -10,6 +10,7 @@
 // points and the park polygon as KML for map display.
 
 #include <cstdio>
+#include <vector>
 
 #include "export/geojson.h"
 #include "export/kml.h"
@@ -73,7 +74,10 @@ int main() {
   // sees each situation once, not once per window slide.
   surveillance::AlertManager alert_manager(&recognizer.engine());
   int alerts = 0;
+  std::vector<tracker::CriticalPoint> criticals;  // for the map export
   pipeline.Run(replayer, [&](const surveillance::SlideReport& report) {
+    criticals.insert(criticals.end(), report.criticals.begin(),
+                     report.criticals.end());
     for (const auto& r : report.recognition) {
       for (const auto& alert : alert_manager.Process(r)) {
         ++alerts;
@@ -89,18 +93,18 @@ int main() {
   exporter::KmlWriter kml;
   kml.AddPolygon(park->name, park->polygon.vertices());
   std::vector<geo::GeoPoint> path;
-  for (const auto& cp : pipeline.critical_points()) path.push_back(cp.pos);
+  for (const auto& cp : criticals) path.push_back(cp.pos);
   kml.AddTrajectory(tanker.name, path);
-  kml.AddCriticalPoints("critical points", pipeline.critical_points());
+  kml.AddCriticalPoints("critical points", criticals);
   const std::string out = "protected_area_monitor.kml";
   if (kml.WriteFile(out).ok()) {
     std::printf("wrote %s (%zu critical points)\n", out.c_str(),
-                pipeline.critical_points().size());
+                criticals.size());
   }
   exporter::GeoJsonWriter geojson;
   geojson.AddPolygon(park->name, "protected", park->polygon.vertices());
   geojson.AddTrajectory(tanker.name, path);
-  geojson.AddCriticalPoints(pipeline.critical_points());
+  geojson.AddCriticalPoints(criticals);
   if (geojson.WriteFile("protected_area_monitor.geojson").ok()) {
     std::printf("wrote protected_area_monitor.geojson (%zu features)\n",
                 geojson.feature_count());

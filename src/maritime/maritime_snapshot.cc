@@ -3,7 +3,6 @@
 // live in DESIGN.md §9.
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "maritime/live_index.h"
@@ -17,8 +16,22 @@ namespace {
 
 constexpr uint8_t kFactTableFormatVersion = 1;
 constexpr uint8_t kLiveIndexFormatVersion = 1;
-constexpr uint8_t kRecognizerFormatVersion = 1;
-constexpr uint8_t kPartitionedFormatVersion = 1;
+// v2 drops v1's 24-byte feed-counter tail (critical points, ME events,
+// spatial facts fed), which nothing read; v1 images still restore.
+constexpr uint8_t kRecognizerFormatVersion = 2;
+// v2 drops v1's 48-byte lifetime-totals tail (Recognize calls, recognized
+// items, input events, cache hits/misses/evictions), which nothing read;
+// v1 images still restore.
+constexpr uint8_t kPartitionedFormatVersion = 2;
+
+/// Reads and discards `words` u64s of a v1 tail.
+bool SkipV1Tail(snapshot::Reader& r, int words) {
+  uint64_t unused = 0;
+  for (int i = 0; i < words; ++i) {
+    if (!r.U64(&unused)) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -169,9 +182,6 @@ void CERecognizer::SaveTo(snapshot::Writer& w) const {
   w.U8(kRecognizerFormatVersion);
   facts_.SaveTo(w);
   engine_->SaveTo(w);
-  w.U64(feed_stats_.critical_points);
-  w.U64(feed_stats_.me_events);
-  w.U64(feed_stats_.spatial_facts);
 }
 
 Status CERecognizer::RestoreFrom(snapshot::Reader& r) {
@@ -182,9 +192,7 @@ Status CERecognizer::RestoreFrom(snapshot::Reader& r) {
   }
   if (const Status s = facts_.RestoreFrom(r); !s.ok()) return s;
   if (const Status s = engine_->RestoreFrom(r); !s.ok()) return s;
-  if (!r.U64(&feed_stats_.critical_points) || !r.U64(&feed_stats_.me_events) ||
-      !r.U64(&feed_stats_.spatial_facts)) {
-    feed_stats_ = MeFeedStats{};
+  if (version == 1 && !SkipV1Tail(r, 3)) {
     return snapshot::CorruptionIn("recognizer");
   }
   return Status::OK();
@@ -197,17 +205,6 @@ void PartitionedRecognizer::SaveTo(snapshot::Writer& w) const {
     w.F64(p.min_lon);
     p.rec->SaveTo(w);
   }
-  RecognizeTotals totals;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals = totals_;
-  }
-  w.U64(totals.recognize_calls);
-  w.U64(totals.recognized_items);
-  w.U64(totals.input_events);
-  w.U64(totals.cache_hits);
-  w.U64(totals.cache_misses);
-  w.U64(totals.cache_evictions);
 }
 
 Status PartitionedRecognizer::RestoreFrom(snapshot::Reader& r) {
@@ -233,20 +230,8 @@ Status PartitionedRecognizer::RestoreFrom(snapshot::Reader& r) {
     }
     if (const Status s = p.rec->RestoreFrom(r); !s.ok()) return s;
   }
-  uint64_t calls = 0, items = 0, inputs = 0;
-  uint64_t hits = 0, misses = 0, evictions = 0;
-  if (!r.U64(&calls) || !r.U64(&items) || !r.U64(&inputs) || !r.U64(&hits) ||
-      !r.U64(&misses) || !r.U64(&evictions)) {
+  if (version == 1 && !SkipV1Tail(r, 6)) {
     return snapshot::CorruptionIn("partitioned recognizer");
-  }
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals_.recognize_calls = static_cast<size_t>(calls);
-    totals_.recognized_items = static_cast<size_t>(items);
-    totals_.input_events = static_cast<size_t>(inputs);
-    totals_.cache_hits = static_cast<size_t>(hits);
-    totals_.cache_misses = static_cast<size_t>(misses);
-    totals_.cache_evictions = static_cast<size_t>(evictions);
   }
   return Status::OK();
 }

@@ -26,14 +26,12 @@ MaritimeSchema MaritimeSchema::Declare(rtec::Engine& engine) {
   return s;
 }
 
-uint64_t FeedCriticalPoint(rtec::Engine& engine, const MaritimeSchema& schema,
-                           const tracker::CriticalPoint& cp) {
+void FeedCriticalPoint(rtec::Engine& engine, const MaritimeSchema& schema,
+                       const tracker::CriticalPoint& cp) {
   const rtec::Term vessel = VesselTerm(cp.mmsi);
   engine.AssertCoord(vessel, cp.tau, cp.pos);
-  uint64_t asserted = 0;
   const auto assert_event = [&](rtec::EventId e) {
     engine.AssertEvent(e, vessel, cp.tau);
-    ++asserted;
   };
   if (cp.Has(tracker::kGapStart)) assert_event(schema.gap);
   if (cp.Has(tracker::kGapEnd)) assert_event(schema.gap_end);
@@ -50,7 +48,6 @@ uint64_t FeedCriticalPoint(rtec::Engine& engine, const MaritimeSchema& schema,
     assert_event(schema.slow_motion);
   }
   if (cp.Has(tracker::kSlowMotionEnd)) assert_event(schema.slow_end);
-  return asserted;
 }
 
 void SpatialFactTable::AddFactGroup(stream::Mmsi mmsi, Timestamp t,

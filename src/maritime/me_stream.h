@@ -76,18 +76,11 @@ struct MaritimeSchema {
   static MaritimeSchema Declare(rtec::Engine& engine);
 };
 
-/// Statistics of one conversion from critical points to MEs.
-struct MeFeedStats {
-  uint64_t critical_points = 0;
-  uint64_t me_events = 0;      ///< Instantaneous ME occurrences asserted.
-  uint64_t spatial_facts = 0;  ///< close facts asserted (fact mode only).
-};
-
 /// Converts one critical point into ME assertions on `engine`: the vessel
 /// coordinates always (the coord fluent), one event per relevant annotation
-/// flag. Returns the number of ME events asserted.
-uint64_t FeedCriticalPoint(rtec::Engine& engine, const MaritimeSchema& schema,
-                           const tracker::CriticalPoint& cp);
+/// flag.
+void FeedCriticalPoint(rtec::Engine& engine, const MaritimeSchema& schema,
+                       const tracker::CriticalPoint& cp);
 
 /// Side table of precomputed spatial facts for the Figure 11(b) setting.
 /// Each ME of a vessel is accompanied by facts naming the areas the vessel

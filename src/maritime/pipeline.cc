@@ -110,16 +110,14 @@ SlideReport SurveillancePipeline::CommitNextSlide() {
   report.raw_positions = slide->batch.size();
   report.tracking_seconds = slide->tracking_seconds;
   report.shard_stats = std::move(slide->shard_stats);
-  report.critical_points = slide->criticals.size();
 
   // --- commit barrier: every shared-state mutation, in slide order ----------
   recognizer_->Feed(std::move(slide->staged_feed));
-  all_criticals_.insert(all_criticals_.end(), slide->criticals.begin(),
-                        slide->criticals.end());
   if (archiver_ != nullptr) {
     window_criticals_.insert(window_criticals_.end(),
                              slide->criticals.begin(), slide->criticals.end());
   }
+  report.criticals = std::move(slide->criticals);
 
   const double t1 = NowSeconds();
   report.recognition = recognizer_->Recognize(slide->q);
@@ -197,8 +195,6 @@ SlideReport SurveillancePipeline::Finish() {
   std::vector<tracker::CriticalPoint> tail;
   tracker_.Finish(&tail);
   report.tracking_seconds = NowSeconds() - t0;
-  report.critical_points = tail.size();
-  all_criticals_.insert(all_criticals_.end(), tail.begin(), tail.end());
 
   if (!tail.empty()) {
     // The tail events (episode closings, last anchors) arrived after the
@@ -226,13 +222,8 @@ SlideReport SurveillancePipeline::Finish() {
     window_criticals_.clear();
     if (!rest.empty()) archiver_->ArchiveBatch(rest);
   }
+  report.criticals = std::move(tail);
   return report;
-}
-
-std::vector<tracker::CriticalPoint> SurveillancePipeline::TakeCriticalPoints() {
-  std::vector<tracker::CriticalPoint> out = std::move(all_criticals_);
-  all_criticals_.clear();
-  return out;
 }
 
 }  // namespace maritime::surveillance

@@ -68,8 +68,11 @@ struct PipelineConfig {
 /// What happened during one window slide.
 struct SlideReport {
   Timestamp query_time = 0;
-  size_t raw_positions = 0;    ///< Fresh positions consumed this slide.
-  size_t critical_points = 0;  ///< Critical points emitted this slide.
+  size_t raw_positions = 0;  ///< Fresh positions consumed this slide.
+  /// Critical points the tracker emitted this slide (for Finish(), the
+  /// tracker's tail), in stream order: the slide's own points, handed over
+  /// without a copy. The pipeline keeps no log of them.
+  std::vector<tracker::CriticalPoint> criticals;
   /// Recognition output, one entry per partition.
   std::vector<rtec::RecognitionResult> recognition;
   double tracking_seconds = 0.0;
@@ -96,10 +99,6 @@ struct SnapshotManifest {
   bool incremental_recognition = false;
   uint64_t window_critical_points = 0;  ///< Awaiting archival.
   uint64_t archived_trips = 0;          ///< In the trajectory store.
-  /// Dependency-scoped dirty-propagation telemetry summed over the
-  /// recognizer partitions (manifest v2; zero when reading a v1 snapshot).
-  uint64_t spans_narrowed = 0;
-  uint64_t fleet_floor_hits = 0;
 };
 
 /// Decodes only the manifest section of a snapshot payload (the bytes after
@@ -174,14 +173,6 @@ class SurveillancePipeline {
   const mod::HermesArchiver* archiver() const { return archiver_.get(); }
   const PipelineConfig& config() const { return config_; }
 
-  /// Every critical point emitted so far (kept for RMSE / export use; cleared
-  /// with TakeCriticalPoints). Diagnostic only: not part of a snapshot, so a
-  /// restored pipeline starts this log empty.
-  const std::vector<tracker::CriticalPoint>& critical_points() const {
-    return all_criticals_;
-  }
-  std::vector<tracker::CriticalPoint> TakeCriticalPoints();
-
   // --- checkpointing -------------------------------------------------------
   /// Serializes the full pipeline state at a slide boundary (call only
   /// between RunSlide calls, never mid-slide): manifest, tracker shards, the
@@ -250,7 +241,6 @@ class SurveillancePipeline {
   /// Critical points not yet evicted from the window, awaiting archival.
   /// Always empty without an archiver: nothing would ever drain it.
   std::deque<tracker::CriticalPoint> window_criticals_;
-  std::vector<tracker::CriticalPoint> all_criticals_;
   /// Slides staged ahead, oldest first. Mutated only by the owner thread;
   /// the elements' staging outputs are handed over via each slide's
   /// ready-flag handshake.

@@ -29,9 +29,10 @@ constexpr uint32_t kRecognizerTag = FourCc('R', 'C', 'G', 'P');
 constexpr uint32_t kPipelineTag = FourCc('P', 'I', 'P', 'E');
 constexpr uint32_t kArchiverTag = FourCc('A', 'R', 'C', 'H');
 
-// v2 appends the dependency-scoped dirty-propagation counters; v1 snapshots
-// still load (the counters read as zero).
-constexpr uint8_t kManifestVersion = 2;
+// v2 appended 16 bytes of dirty-propagation counters (spans narrowed, fleet
+// floor hits) that copied what the engine section already persists; v3
+// drops them again. v1 and v2 manifests still load.
+constexpr uint8_t kManifestVersion = 3;
 constexpr uint8_t kSectionVersion = 1;
 
 void SaveManifest(const SnapshotManifest& m, snapshot::Writer& w) {
@@ -45,8 +46,6 @@ void SaveManifest(const SnapshotManifest& m, snapshot::Writer& w) {
   w.Bool(m.incremental_recognition);
   w.U64(m.window_critical_points);
   w.U64(m.archived_trips);
-  w.U64(m.spans_narrowed);
-  w.U64(m.fleet_floor_hits);
   w.EndSection(section);
 }
 
@@ -63,8 +62,8 @@ Status LoadManifest(snapshot::Reader& r, SnapshotManifest* m) {
       !r.U64(&m->window_critical_points) || !r.U64(&m->archived_trips)) {
     return snapshot::CorruptionIn("snapshot manifest");
   }
-  if (version >= 2 &&
-      (!r.U64(&m->spans_narrowed) || !r.U64(&m->fleet_floor_hits))) {
+  uint64_t unused = 0;
+  if (version == 2 && (!r.U64(&unused) || !r.U64(&unused))) {
     return snapshot::CorruptionIn("snapshot manifest");
   }
   if (!r.EndSection(end)) {
@@ -100,9 +99,6 @@ void SurveillancePipeline::SaveTo(snapshot::Writer& w) const {
       recognizer_->partition(0).engine().options().incremental;
   m.window_critical_points = window_criticals_.size();
   m.archived_trips = archiver_ ? archiver_->store().trip_count() : 0;
-  const PartitionedRecognizer::RecognizeTotals totals = recognizer_->totals();
-  m.spans_narrowed = totals.spans_narrowed;
-  m.fleet_floor_hits = totals.fleet_floor_hits;
   SaveManifest(m, w);
 
   size_t section = w.BeginSection(kTrackerTag, kSectionVersion);
@@ -205,7 +201,6 @@ Status SurveillancePipeline::RestoreFrom(snapshot::Reader& r) {
   if (!r.EndSection(end)) return snapshot::CorruptionIn("archiver section");
 
   last_query_ = m.last_query;
-  all_criticals_.clear();  // diagnostic log, not part of the snapshot
   return Status::OK();
 }
 

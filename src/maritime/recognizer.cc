@@ -42,36 +42,11 @@ CERecognizer::CERecognizer(const KnowledgeBase* kb, RecognizerConfig config,
 }
 
 void CERecognizer::Feed(const tracker::CriticalPoint& cp) {
-  ++feed_stats_.critical_points;
-  feed_stats_.me_events += FeedCriticalPoint(*engine_, schema_, cp);
-  if (config_.ce.use_spatial_facts) {
-    // The trajectory detection side accompanies each ME with facts naming
-    // the areas the vessel is currently close to (Figure 11(b) setting);
-    // recognition then skips on-demand spatial reasoning entirely.
-    std::vector<int32_t> areas = kb_->AreasCloseTo(cp.pos);
-    feed_stats_.spatial_facts += areas.size();
-    facts_.AddFactGroup(cp.mmsi, cp.tau, std::move(areas));
-  }
+  Feed(std::span<const tracker::CriticalPoint>(&cp, 1));
 }
 
 void CERecognizer::Feed(std::span<const tracker::CriticalPoint> cps) {
-  if (!config_.ce.use_spatial_facts) {
-    for (const tracker::CriticalPoint& cp : cps) Feed(cp);
-    return;
-  }
-  // Batch the spatial-fact computation: consecutive points of a slide are
-  // spatially coherent, so one shared locality cache turns most lookups
-  // into a pointer compare.
-  std::vector<geo::GeoPoint> pts;
-  pts.reserve(cps.size());
-  for (const tracker::CriticalPoint& cp : cps) pts.push_back(cp.pos);
-  std::vector<std::vector<int32_t>> close = kb_->AreasCloseToAll(pts);
-  for (size_t i = 0; i < cps.size(); ++i) {
-    ++feed_stats_.critical_points;
-    feed_stats_.me_events += FeedCriticalPoint(*engine_, schema_, cps[i]);
-    feed_stats_.spatial_facts += close[i].size();
-    facts_.AddFactGroup(cps[i].mmsi, cps[i].tau, std::move(close[i]));
-  }
+  Feed(Stage(cps));
 }
 
 CERecognizer::StagedPoints CERecognizer::Stage(
@@ -79,6 +54,11 @@ CERecognizer::StagedPoints CERecognizer::Stage(
   StagedPoints staged;
   staged.cps.assign(cps.begin(), cps.end());
   if (config_.ce.use_spatial_facts) {
+    // The trajectory detection side accompanies each ME with facts naming
+    // the areas the vessel is currently close to (Figure 11(b) setting);
+    // recognition then skips on-demand spatial reasoning entirely. One
+    // batched lookup: consecutive points of a slide are spatially coherent,
+    // so a shared locality cache turns most lookups into a pointer compare.
     std::vector<geo::GeoPoint> pts;
     pts.reserve(cps.size());
     for (const tracker::CriticalPoint& cp : cps) pts.push_back(cp.pos);
@@ -91,10 +71,8 @@ void CERecognizer::Feed(StagedPoints&& staged) {
   const bool spatial = config_.ce.use_spatial_facts;
   assert(!spatial || staged.close.size() == staged.cps.size());
   for (size_t i = 0; i < staged.cps.size(); ++i) {
-    ++feed_stats_.critical_points;
-    feed_stats_.me_events += FeedCriticalPoint(*engine_, schema_, staged.cps[i]);
+    FeedCriticalPoint(*engine_, schema_, staged.cps[i]);
     if (spatial) {
-      feed_stats_.spatial_facts += staged.close[i].size();
       facts_.AddFactGroup(staged.cps[i].mmsi, staged.cps[i].tau,
                           std::move(staged.close[i]));
     }
@@ -169,23 +147,11 @@ size_t PartitionedRecognizer::PartitionFor(const geo::GeoPoint& p) const {
 }
 
 void PartitionedRecognizer::Feed(const tracker::CriticalPoint& cp) {
-  parts_[PartitionFor(cp.pos)].rec->Feed(cp);
+  Feed(std::span<const tracker::CriticalPoint>(&cp, 1));
 }
 
 void PartitionedRecognizer::Feed(std::span<const tracker::CriticalPoint> cps) {
-  if (parts_.size() == 1) {
-    parts_[0].rec->Feed(cps);
-    return;
-  }
-  std::vector<std::vector<tracker::CriticalPoint>> buckets(parts_.size());
-  for (const tracker::CriticalPoint& cp : cps) {
-    buckets[PartitionFor(cp.pos)].push_back(cp);
-  }
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (!buckets[i].empty()) {
-      parts_[i].rec->Feed(std::span<const tracker::CriticalPoint>(buckets[i]));
-    }
-  }
+  Feed(Stage(cps));
 }
 
 PartitionedRecognizer::StagedFeed PartitionedRecognizer::Stage(
@@ -225,31 +191,18 @@ std::vector<rtec::RecognitionResult> PartitionedRecognizer::Recognize(
   // std::threads every slide used to dominate recognition at small slides.
   pool_->ParallelFor(parts_.size(), [this, q, &results](size_t i) {
     results[i] = parts_[i].rec->Recognize(q);
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    totals_.recognized_items += results[i].RecognizedCount();
-    totals_.input_events += results[i].input_events_in_window;
   });
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    ++totals_.recognize_calls;
-  }
   return results;
 }
 
 PartitionedRecognizer::RecognizeTotals PartitionedRecognizer::totals() const {
+  // The counters live in the per-partition engines; they only move during
+  // Recognize, so summing at read time needs no locking.
   RecognizeTotals out;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    out = totals_;
-  }
-  // Cache and allocation counters live in the per-partition engines; they
-  // only move during Recognize, so summing at read time needs no extra
-  // locking.
   for (const Partition& p : parts_) {
     const rtec::EngineCacheStats& cs = p.rec->engine().cache_stats();
     out.cache_hits += cs.hits;
     out.cache_misses += cs.misses;
-    out.cache_evictions += cs.evictions;
     out.spans_narrowed += cs.spans_narrowed;
     out.fleet_floor_hits += cs.fleet_floor_hits;
     const rtec::EngineAllocStats& as = p.rec->engine().alloc_stats();

@@ -2,12 +2,10 @@
 #define MARITIME_MARITIME_RECOGNIZER_H_
 
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "maritime/ce_definitions.h"
 #include "maritime/knowledge.h"
@@ -76,12 +74,13 @@ class CERecognizer {
   CERecognizer(const CERecognizer&) = delete;
   CERecognizer& operator=(const CERecognizer&) = delete;
 
-  /// Feeds one critical point (possibly delayed) into the working memory.
+  /// Feeds one critical point (possibly delayed) into the working memory:
+  /// Feed of a one-element span.
   void Feed(const tracker::CriticalPoint& cp);
 
-  /// Batched feed: identical to feeding each point in order, but in the
-  /// Figure 11(b) mode the spatial facts for the whole run are computed by
-  /// one KnowledgeBase::AreasCloseToAll call sharing a locality cache.
+  /// Batched feed, Feed(Stage(cps)): in the Figure 11(b) mode the spatial
+  /// facts for the whole run are computed by one
+  /// KnowledgeBase::AreasCloseToAll call sharing a locality cache.
   void Feed(std::span<const tracker::CriticalPoint> cps);
 
   /// One slide's precomputed input: the critical points plus the spatial
@@ -92,15 +91,15 @@ class CERecognizer {
     std::vector<std::vector<int32_t>> close;  ///< Parallel to `cps`.
   };
 
-  /// Pure staging half of the batched Feed: computes the spatial facts but
+  /// Pure staging half of Feed(span): computes the spatial facts but
   /// mutates nothing, so the pipelined driver may run it on a pool thread
   /// while a *previous* slide's Recognize runs on this recognizer (the
   /// KnowledgeBase locality cache is thread-local; engine and fact table
   /// are untouched).
   StagedPoints Stage(std::span<const tracker::CriticalPoint> cps) const;
 
-  /// Commit half: identical observable effect to Feed(span) on the staged
-  /// points. Must run on the owner thread (the commit barrier).
+  /// Commit half: asserts the staged points' MEs and spatial facts. Must
+  /// run on the owner thread (the commit barrier).
   void Feed(StagedPoints&& staged);
 
   /// Runs recognition at query time `q`.
@@ -109,7 +108,6 @@ class CERecognizer {
   const MaritimeSchema& schema() const { return schema_; }
   rtec::Engine& engine() { return *engine_; }
   const rtec::Engine& engine() const { return *engine_; }
-  const MeFeedStats& feed_stats() const { return feed_stats_; }
   const KnowledgeBase& knowledge() const { return *kb_; }
 
   /// Renders a recognized CE in a log-friendly form, e.g.
@@ -119,9 +117,9 @@ class CERecognizer {
   std::string Describe(const rtec::RecognizedFluent& f) const;
 
   // --- checkpointing -------------------------------------------------------
-  /// Serializes the recognizer's cross-slide state: the spatial-fact table,
-  /// the full RTEC engine state (see rtec::Engine::SaveTo), and the feed
-  /// counters. Call between slides.
+  /// Serializes the recognizer's cross-slide state: the spatial-fact table
+  /// and the full RTEC engine state (see rtec::Engine::SaveTo). Call between
+  /// slides.
   void SaveTo(snapshot::Writer& w) const;
   /// Restores into a recognizer built with the same knowledge base and
   /// config; the engine's schema fingerprint guards against mismatches.
@@ -133,7 +131,6 @@ class CERecognizer {
   SpatialFactTable facts_;
   std::unique_ptr<rtec::Engine> engine_;
   MaritimeSchema schema_;
-  MeFeedStats feed_stats_;
 };
 
 /// Distributed CE recognition (paper Section 5.2): the monitored region is
@@ -150,11 +147,12 @@ class PartitionedRecognizer {
   PartitionedRecognizer(const KnowledgeBase& kb, RecognizerConfig config,
                         int partitions, common::ThreadPool* pool = nullptr);
 
-  /// Routes a critical point to the partition covering its position.
+  /// Routes a critical point to the partition covering its position: Feed
+  /// of a one-element span.
   void Feed(const tracker::CriticalPoint& cp);
 
   /// Routes a run of critical points (order preserved per partition) and
-  /// feeds every partition its slice through the batched overload.
+  /// feeds every partition its slice: Feed(Stage(cps)).
   void Feed(std::span<const tracker::CriticalPoint> cps);
 
   /// One slide's precomputed input across all partitions (routing plus each
@@ -168,23 +166,17 @@ class PartitionedRecognizer {
   /// previous slide's Recognize (see CERecognizer::Stage).
   StagedFeed Stage(std::span<const tracker::CriticalPoint> cps) const;
 
-  /// Commit half: identical observable effect to Feed(span) on the staged
-  /// points. Owner thread only.
+  /// Commit half: feeds each partition its staged slice. Owner thread only.
   void Feed(StagedFeed&& staged);
 
   /// Recognizes on all partitions in parallel; returns one result per
   /// partition.
-  std::vector<rtec::RecognitionResult> Recognize(Timestamp q)
-      MARITIME_EXCLUDES(totals_mu_);
+  std::vector<rtec::RecognitionResult> Recognize(Timestamp q);
 
-  /// Lifetime recognition totals, summed over partitions and query times.
+  /// The partitions' engine counters, summed at call time.
   struct RecognizeTotals {
-    size_t recognize_calls = 0;   ///< Recognize() invocations.
-    size_t recognized_items = 0;  ///< CE instances/intervals produced.
-    size_t input_events = 0;      ///< MEs (and SFs) considered in-window.
     size_t cache_hits = 0;        ///< Incremental-engine key reuses.
     size_t cache_misses = 0;      ///< Keys whose rules were (re-)run.
-    size_t cache_evictions = 0;   ///< Cache entries dropped with their key.
     /// Dependency-scoped dirty propagation telemetry (DESIGN.md §14): regen
     /// spans narrowed below the fleet floor, and cross-key regions that fell
     /// back to the fleet-wide `DirtyMap::any` floor.
@@ -196,19 +188,19 @@ class PartitionedRecognizer {
     uint64_t arena_chunks = 0;     ///< Arena chunks currently reserved.
     uint64_t fallback_allocs = 0;  ///< Large-object heap fallbacks, ever.
   };
-  RecognizeTotals totals() const MARITIME_EXCLUDES(totals_mu_);
+  RecognizeTotals totals() const;
 
   int partition_count() const { return static_cast<int>(parts_.size()); }
   CERecognizer& partition(int i) { return *parts_[static_cast<size_t>(i)].rec; }
 
   // --- checkpointing -------------------------------------------------------
-  /// Serializes every partition (band bound + recognizer state) and the
-  /// cumulative totals. Call between slides, never during Recognize.
-  void SaveTo(snapshot::Writer& w) const MARITIME_EXCLUDES(totals_mu_);
+  /// Serializes every partition (band bound + recognizer state). Call
+  /// between slides, never during Recognize.
+  void SaveTo(snapshot::Writer& w) const;
   /// Restores into a recognizer partitioned the same way over the same
   /// knowledge base (partition count and band bounds are verified;
   /// InvalidArgument on mismatch).
-  Status RestoreFrom(snapshot::Reader& r) MARITIME_EXCLUDES(totals_mu_);
+  Status RestoreFrom(snapshot::Reader& r);
 
  private:
   struct Partition {
@@ -219,10 +211,6 @@ class PartitionedRecognizer {
   size_t PartitionFor(const geo::GeoPoint& p) const;
   common::ThreadPool* pool_;
   std::vector<Partition> parts_;  // sorted by min_lon ascending
-  /// Guards the cumulative counters: each partition's recognition task adds
-  /// its contribution from a pool worker thread.
-  mutable std::mutex totals_mu_;
-  RecognizeTotals totals_ MARITIME_GUARDED_BY(totals_mu_);
 };
 
 }  // namespace maritime::surveillance

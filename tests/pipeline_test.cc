@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "critical_digest.h"
 #include "maritime/pipeline.h"
 #include "sim/generator.h"
 #include "sim/scenarios.h"
@@ -44,7 +47,7 @@ TEST(PipelineTest, EndToEndOnSimulatedFleet) {
   pipeline.Run(replayer, [&](const SlideReport& r) {
     ++slides;
     total_raw += r.raw_positions;
-    total_criticals += r.critical_points;
+    total_criticals += r.criticals.size();
     for (const auto& rec : r.recognition) total_ces += rec.RecognizedCount();
   });
 
@@ -204,7 +207,7 @@ TEST(PipelineTest, EndOfStreamEventsAreRecognizedAtFinish) {
   pipeline.Run(replayer, [&](const SlideReport& r) {
     if (!r.final_flush) return;
     saw_flush = true;
-    EXPECT_GT(r.critical_points, 0u);  // at least stop-end + last anchor
+    EXPECT_GT(r.criticals.size(), 0u);  // at least stop-end + last anchor
     for (const auto& rec : r.recognition) {
       for (const auto& f : rec.fluents) {
         if (f.fluent != schema.adrift) continue;
@@ -219,19 +222,44 @@ TEST(PipelineTest, EndOfStreamEventsAreRecognizedAtFinish) {
   EXPECT_TRUE(adrift_closed);
 }
 
-TEST(PipelineTest, CriticalPointsAreTakeable) {
+TEST(PipelineTest, SlideReportsCarryEveryCriticalPoint) {
+  // The pipeline keeps no log of its critical points: the reports of every
+  // RunSlide plus Finish(), concatenated, are exactly what a standalone
+  // tracker emits on the same stream.
   sim::World world = sim::BuildWorld(24, SmallWorldParams());
-  SurveillancePipeline pipeline(&world.knowledge, SmallPipelineConfig());
-  const auto tuples = sim::TraceBuilder(5, geo::GeoPoint{24.0, 37.0}, 0)
-                          .Cruise(0.0, 12.0, kHour, 30)
-                          .Cruise(60.0, 12.0, kHour, 30)
-                          .Build();
-  stream::StreamReplayer replayer(tuples);
-  pipeline.Run(replayer);
-  EXPECT_FALSE(pipeline.critical_points().empty());
-  const auto taken = pipeline.TakeCriticalPoints();
-  EXPECT_FALSE(taken.empty());
-  EXPECT_TRUE(pipeline.critical_points().empty());
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 10;
+  fleet_cfg.duration = 4 * kHour;
+  fleet_cfg.seed = 8;
+  sim::FleetSimulator fleet(&world, fleet_cfg);
+  const auto tuples = fleet.Generate();
+
+  PipelineConfig cfg = SmallPipelineConfig();
+  cfg.tracker_shards = 2;
+  SurveillancePipeline pipeline(&world.knowledge, cfg);
+  tracker::ShardedMobilityTracker standalone(cfg.tracker, cfg.tracker_shards);
+  std::vector<tracker::CriticalPoint> reported, expected;
+  stream::StreamReplayer a(tuples), b(tuples);
+  stream::QueryTimeSequence queries(cfg.window, a.first_timestamp());
+  const Timestamp last = a.last_timestamp();
+  while (true) {
+    const Timestamp q = queries.Fire();
+    const SlideReport r = pipeline.RunSlide(q, a.NextBatch(q));
+    reported.insert(reported.end(), r.criticals.begin(), r.criticals.end());
+    const auto cps = standalone.ProcessSlide(b.NextBatch(q), q);
+    expected.insert(expected.end(), cps.begin(), cps.end());
+    if (q >= last) break;
+  }
+  const SlideReport flush = pipeline.Finish();
+  EXPECT_TRUE(flush.final_flush);
+  reported.insert(reported.end(), flush.criticals.begin(),
+                  flush.criticals.end());
+  standalone.Finish(&expected);
+
+  ASSERT_FALSE(flush.criticals.empty());
+  ASSERT_GT(expected.size(), flush.criticals.size());
+  EXPECT_EQ(reported.size(), expected.size());
+  EXPECT_EQ(CriticalsDigest(reported), CriticalsDigest(expected));
 }
 
 TEST(PipelineTest, ArchiveLagsBehindWindow) {

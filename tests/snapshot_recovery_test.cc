@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "critical_digest.h"
 #include "maritime/pipeline.h"
 #include "sim/generator.h"
 #include "sim/world.h"
@@ -37,7 +38,7 @@ sim::WorldParams SmallWorldParams() {
 struct Observed {
   Timestamp query_time = 0;
   std::vector<rtec::RecognitionResult> recognition;
-  size_t critical_points = 0;
+  uint64_t criticals_digest = 0;  ///< CriticalsDigest of the report's points.
   bool final_flush = false;
 };
 
@@ -45,7 +46,7 @@ Observed Capture(const SlideReport& r) {
   Observed o;
   o.query_time = r.query_time;
   o.recognition = r.recognition;
-  o.critical_points = r.critical_points;
+  o.criticals_digest = CriticalsDigest(r.criticals);
   o.final_flush = r.final_flush;
   return o;
 }
@@ -57,7 +58,7 @@ void ExpectIdentical(const std::vector<Observed>& expected,
     SCOPED_TRACE("kill at slide " + std::to_string(k) + ", post-resume slide " +
                  std::to_string(i));
     EXPECT_EQ(expected[i].query_time, actual[i].query_time);
-    EXPECT_EQ(expected[i].critical_points, actual[i].critical_points);
+    EXPECT_EQ(expected[i].criticals_digest, actual[i].criticals_digest);
     EXPECT_EQ(expected[i].final_flush, actual[i].final_flush);
     ASSERT_EQ(expected[i].recognition.size(), actual[i].recognition.size());
     for (size_t p = 0; p < expected[i].recognition.size(); ++p) {

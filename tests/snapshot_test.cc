@@ -5,7 +5,9 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -856,10 +858,10 @@ TEST(PipelineSnapshotTest, UnarchivedRunBuffersNoCriticalPoints) {
   size_t emitted = 0;
   for (int i = 1; i <= 24; ++i) {
     const Timestamp qt = q.Fire();
-    emitted += pipeline.RunSlide(qt, replayer.NextBatch(qt)).critical_points;
+    emitted += pipeline.RunSlide(qt, replayer.NextBatch(qt)).criticals.size();
     if (i % 6 == 0) check("after slide " + std::to_string(i));
   }
-  emitted += pipeline.Finish().critical_points;
+  emitted += pipeline.Finish().criticals.size();
   check("after Finish");
   EXPECT_GT(emitted, 0u) << "the run must produce critical points";
 }
@@ -900,6 +902,196 @@ TEST(PipelineSnapshotTest, UnarchivedRestoreDropsBufferedCriticalPoints) {
   ASSERT_TRUE(m.ok()) << m.status();
   EXPECT_EQ(m.value().window_critical_points, 0u);
   EXPECT_TRUE(resaved.bytes() == bytes) << "restored state differs";
+}
+
+// --- recognizer and manifest images of older formats --------------------------
+
+/// Critical points of a small simulated fleet in `world`, one run per slide
+/// (ω = 1 h, β = 10 min from t = 0).
+std::vector<std::vector<tracker::CriticalPoint>> SlideCriticals(
+    sim::World* world) {
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 10;
+  fleet_cfg.duration = 2 * kHour;
+  fleet_cfg.seed = 9;
+  sim::FleetSimulator fleet(world, fleet_cfg);
+  stream::StreamReplayer replayer(fleet.Generate());
+  tracker::ShardedMobilityTracker tracker(tracker::TrackerParams{}, 1);
+  std::vector<std::vector<tracker::CriticalPoint>> slides;
+  for (Timestamp q = 10 * kMinute; q <= 2 * kHour; q += 10 * kMinute) {
+    slides.push_back(tracker.ProcessSlide(replayer.NextBatch(q), q));
+  }
+  return slides;
+}
+
+surveillance::RecognizerConfig SpatialFactRecognizerConfig() {
+  surveillance::RecognizerConfig rc;
+  rc.window = stream::WindowSpec{kHour, 10 * kMinute};
+  rc.ce.use_spatial_facts = true;
+  return rc;
+}
+
+/// The v1 image of `rec`: its current (v2) image with the version byte set
+/// back to 1 and v1's 24-byte feed-counter tail appended.
+std::string V1RecognizerImage(const surveillance::CERecognizer& rec) {
+  snapshot::Writer w;
+  rec.SaveTo(w);
+  EXPECT_EQ(static_cast<uint8_t>(w.bytes()[0]), 2);
+  std::string v1 = w.bytes();
+  v1[0] = 1;
+  snapshot::Writer tail;
+  tail.U64(412);  // critical points fed
+  tail.U64(97);   // ME events asserted
+  tail.U64(230);  // spatial facts asserted
+  return v1 + tail.bytes();
+}
+
+TEST(RecognizerSnapshotTest, V1RecognizerWithFeedStatsTailStillRestores) {
+  sim::World world = sim::BuildWorld(41, SmallWorldParams());
+  const auto slides = SlideCriticals(&world);
+  ASSERT_GE(slides.size(), 8u);
+  const surveillance::RecognizerConfig rc = SpatialFactRecognizerConfig();
+  surveillance::CERecognizer a(&world.knowledge, rc);
+  for (size_t i = 0; i + 1 < slides.size(); ++i) {
+    a.Feed(std::span<const tracker::CriticalPoint>(slides[i]));
+    a.Recognize(static_cast<Timestamp>(i + 1) * 10 * kMinute);
+  }
+  snapshot::Writer v2;
+  a.SaveTo(v2);
+  const std::string v1 = V1RecognizerImage(a);
+
+  surveillance::CERecognizer b(&world.knowledge, rc);
+  snapshot::Reader r(v1);
+  const Status s = b.RestoreFrom(r);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_TRUE(r.AtEnd());
+  snapshot::Writer resaved;
+  b.SaveTo(resaved);
+  EXPECT_TRUE(resaved.bytes() == v2.bytes());
+
+  // Both continue identically.
+  a.Feed(std::span<const tracker::CriticalPoint>(slides.back()));
+  b.Feed(std::span<const tracker::CriticalPoint>(slides.back()));
+  const Timestamp q = static_cast<Timestamp>(slides.size()) * 10 * kMinute;
+  EXPECT_TRUE(a.Recognize(q) == b.Recognize(q));
+
+  // A v1 image cut inside its tail is corrupt, not silently accepted.
+  surveillance::CERecognizer c(&world.knowledge, rc);
+  snapshot::Reader cut(std::string_view(v1).substr(0, v1.size() - 8));
+  EXPECT_EQ(c.RestoreFrom(cut).code(), StatusCode::kCorruption);
+}
+
+TEST(RecognizerSnapshotTest, V1PartitionedImageWithTotalsTailStillRestores) {
+  sim::World world = sim::BuildWorld(42, SmallWorldParams());
+  const auto slides = SlideCriticals(&world);
+  ASSERT_GE(slides.size(), 8u);
+  surveillance::RecognizerConfig rc = SpatialFactRecognizerConfig();
+  rc.incremental = true;
+  surveillance::PartitionedRecognizer a(world.knowledge, rc, 2);
+  for (size_t i = 0; i + 1 < slides.size(); ++i) {
+    a.Feed(std::span<const tracker::CriticalPoint>(slides[i]));
+    a.Recognize(static_cast<Timestamp>(i + 1) * 10 * kMinute);
+  }
+  snapshot::Writer v2w;
+  a.SaveTo(v2w);
+  const std::string& v2 = v2w.bytes();
+  ASSERT_EQ(static_cast<uint8_t>(v2[0]), 2);
+
+  // v1 layout: u8 version, u32 partition count, then per partition its f64
+  // band bound and v1 recognizer image, then 48 bytes of lifetime totals.
+  std::string v1 = v2.substr(0, 1 + sizeof(uint32_t));
+  v1[0] = 1;
+  size_t pos = v1.size();
+  for (int p = 0; p < a.partition_count(); ++p) {
+    snapshot::Writer part;
+    a.partition(p).SaveTo(part);
+    v1 += v2.substr(pos, sizeof(double));
+    v1 += V1RecognizerImage(a.partition(p));
+    pos += sizeof(double) + part.size();
+  }
+  ASSERT_EQ(pos, v2.size());
+  snapshot::Writer tail;
+  for (const uint64_t v : {13, 880, 5120, 40, 9, 2}) tail.U64(v);
+  v1 += tail.bytes();
+
+  surveillance::PartitionedRecognizer b(world.knowledge, rc, 2);
+  snapshot::Reader r(v1);
+  const Status s = b.RestoreFrom(r);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_TRUE(r.AtEnd());
+  snapshot::Writer resaved;
+  b.SaveTo(resaved);
+  EXPECT_TRUE(resaved.bytes() == v2);
+
+  a.Feed(std::span<const tracker::CriticalPoint>(slides.back()));
+  b.Feed(std::span<const tracker::CriticalPoint>(slides.back()));
+  const Timestamp q = static_cast<Timestamp>(slides.size()) * 10 * kMinute;
+  EXPECT_TRUE(a.Recognize(q) == b.Recognize(q));
+
+  surveillance::PartitionedRecognizer c(world.knowledge, rc, 2);
+  snapshot::Reader cut(std::string_view(v1).substr(0, v1.size() - 8));
+  EXPECT_EQ(c.RestoreFrom(cut).code(), StatusCode::kCorruption);
+}
+
+TEST(PipelineSnapshotTest, V2ManifestWithCountersTailStillLoads) {
+  // Manifest v2 ended with 16 bytes of dirty-propagation counters that v3
+  // dropped. Build a v2 snapshot by hand from a v3 one.
+  sim::World world = sim::BuildWorld(43, SmallWorldParams());
+  sim::FleetConfig fleet_cfg;
+  fleet_cfg.vessels = 10;
+  fleet_cfg.duration = 2 * kHour;
+  fleet_cfg.seed = 10;
+  sim::FleetSimulator fleet(&world, fleet_cfg);
+  stream::StreamReplayer replayer(fleet.Generate());
+  const PipelineConfig cfg = SmallPipelineConfig();
+  SurveillancePipeline pipeline(&world.knowledge, cfg);
+  stream::QueryTimeSequence q(cfg.window, replayer.first_timestamp());
+  for (int i = 0; i < 6; ++i) {
+    const Timestamp qt = q.Fire();
+    pipeline.RunSlide(qt, replayer.NextBatch(qt));
+  }
+  snapshot::Writer v3w;
+  pipeline.SaveTo(v3w);
+  const std::string& v3 = v3w.bytes();
+  const Frame mani = Frames(v3).at("MANI");
+  ASSERT_EQ(mani.begin, 0u);
+  ASSERT_EQ(static_cast<uint8_t>(v3[sizeof(uint32_t)]), 3);
+
+  std::string v2 = v3;
+  v2[sizeof(uint32_t)] = 2;
+  const uint64_t length = mani.length + 2 * sizeof(uint64_t);
+  std::memcpy(v2.data() + sizeof(uint32_t) + 1, &length, sizeof(length));
+  snapshot::Writer tail;
+  tail.U64(31);  // spans narrowed
+  tail.U64(4);   // fleet floor hits
+  v2.insert(mani.end, tail.bytes());
+
+  const Result<surveillance::SnapshotManifest> m3 =
+      surveillance::ReadSnapshotManifest(v3);
+  const Result<surveillance::SnapshotManifest> m2 =
+      surveillance::ReadSnapshotManifest(v2);
+  ASSERT_TRUE(m3.ok()) << m3.status();
+  ASSERT_TRUE(m2.ok()) << m2.status();
+  EXPECT_EQ(m2.value().last_query, m3.value().last_query);
+  EXPECT_EQ(m2.value().window_critical_points,
+            m3.value().window_critical_points);
+  EXPECT_EQ(m2.value().archived_trips, m3.value().archived_trips);
+
+  SurveillancePipeline restored(&world.knowledge, cfg);
+  snapshot::Reader r(v2);
+  const Status s = restored.RestoreFrom(r);
+  ASSERT_TRUE(s.ok()) << s;
+  EXPECT_TRUE(r.AtEnd());
+  snapshot::Writer resaved;
+  restored.SaveTo(resaved);
+  EXPECT_TRUE(resaved.bytes() == v3);
+
+  // A v2 manifest cut inside its counters tail is corrupt.
+  const size_t v2_mani_end = mani.end + tail.size();
+  const Result<surveillance::SnapshotManifest> cut =
+      surveillance::ReadSnapshotManifest(
+          std::string_view(v2).substr(0, v2_mani_end - 8));
+  EXPECT_EQ(cut.status().code(), StatusCode::kCorruption);
 }
 
 TEST(PipelineSnapshotTest, SaveLoadFileRoundTrip) {

@@ -7,7 +7,8 @@
 //       Runs the pipeline N slides (default 6) into the simulated stream,
 //       then writes a checkpoint.
 //   checkpoint_tool inspect <snapshot.msnp>
-//       Prints the snapshot manifest (no knowledge base needed).
+//       Prints the snapshot manifest and the payload bytes of each section
+//       (no knowledge base needed).
 //   checkpoint_tool resume <snapshot.msnp>
 //       Restores the checkpoint and processes the rest of the stream.
 //   checkpoint_tool verify [--kill-at N]
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -26,6 +28,7 @@
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "stream/replayer.h"
+#include "tracker/snapshot_io.h"
 
 namespace {
 
@@ -69,7 +72,39 @@ void PrintSlide(const SlideReport& r) {
   std::printf("  slide q=%s%s: %zu positions, %zu critical points, %zu CEs\n",
               FormatTimestamp(r.query_time).c_str(),
               r.final_flush ? " (flush)" : "", r.raw_positions,
-              r.critical_points, ces);
+              r.criticals.size(), ces);
+}
+
+/// Byte-for-byte equality of two critical-point sequences, in the snapshot
+/// encoding.
+bool SameCriticals(const std::vector<tracker::CriticalPoint>& a,
+                   const std::vector<tracker::CriticalPoint>& b) {
+  snapshot::Writer wa, wb;
+  for (const auto& cp : a) tracker::SaveCriticalPoint(cp, wa);
+  for (const auto& cp : b) tracker::SaveCriticalPoint(cp, wb);
+  return wa.bytes() == wb.bytes();
+}
+
+/// Prints one line per top-level section of a pipeline snapshot payload:
+/// FourCC tag, format version and payload bytes (the framing of
+/// snapshot::Writer::BeginSection).
+bool PrintSections(std::string_view payload) {
+  constexpr size_t kHeader = sizeof(uint32_t) + 1 + sizeof(uint64_t);
+  size_t pos = 0;
+  while (pos < payload.size()) {
+    snapshot::Reader r(payload.substr(pos));
+    uint32_t tag = 0;
+    uint8_t version = 0;
+    uint64_t length = 0;
+    if (!r.U32(&tag) || !r.U8(&version) || !r.Count(&length, 1)) return false;
+    const std::string_view name = payload.substr(pos, sizeof(tag));
+    std::printf("  section %.*s v%u:   %llu bytes\n",
+                static_cast<int>(name.size()), name.data(),
+                static_cast<unsigned>(version),
+                static_cast<unsigned long long>(length));
+    pos += kHeader + length;
+  }
+  return true;
 }
 
 int CmdRun(const std::string& path, int slides) {
@@ -119,10 +154,10 @@ int CmdInspect(const std::string& path) {
               static_cast<unsigned long long>(m.value().window_critical_points));
   std::printf("  archived trips:  %llu\n",
               static_cast<unsigned long long>(m.value().archived_trips));
-  std::printf("  spans narrowed:  %llu\n",
-              static_cast<unsigned long long>(m.value().spans_narrowed));
-  std::printf("  fleet floor hits:%llu\n",
-              static_cast<unsigned long long>(m.value().fleet_floor_hits));
+  if (!PrintSections(payload.value())) {
+    std::fprintf(stderr, "error: malformed section framing\n");
+    return 1;
+  }
   return 0;
 }
 
@@ -203,7 +238,7 @@ int CmdVerify(int kill_at) {
     const SlideReport& a = reference[static_cast<size_t>(kill_at) + i];
     const SlideReport& b = post[i];
     if (a.query_time != b.query_time ||
-        a.critical_points != b.critical_points ||
+        !SameCriticals(a.criticals, b.criticals) ||
         a.recognition.size() != b.recognition.size()) {
       std::fprintf(stderr, "FAIL: slide shape diverged at q=%s\n",
                    FormatTimestamp(a.query_time).c_str());
